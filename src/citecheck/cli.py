@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import MISSING
 
 from . import __version__, mcp_server
 from .errors import CitecheckError, UsageError
-from .pipeline import RunOptions, render_output, report_json, run_repair, scan_report_dict
+from .pipeline import (RunOptions, front_end_options, render_output, report_json,
+                       run_repair, scan_report_dict)
 from .workspace import scan_workspace
 
 EX_USAGE = 64
@@ -24,6 +26,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _add_options(parser: argparse.ArgumentParser, scan: bool = False) -> None:
+    """One flag per RunOptions option; an unset flag leaves RunOptions' default."""
+    for f, name, kind in front_end_options(scan):
+        kwargs = {"dest": name, "default": argparse.SUPPRESS, "help": f.metadata["help"]}
+        if kind is bool:
+            kwargs["action"] = "store_true"
+        else:
+            kwargs["required"] = f.default is MISSING
+            kwargs["type"] = kind if kind is not tuple else (
+                lambda text: [s.strip() for s in text.split(",") if s.strip()])
+            choices = f.metadata["choices"]
+            if choices is not None:  # a list option takes a comma list of its choices
+                joined = ",".join(choices)
+                kwargs["metavar"] = joined if kind is tuple else "{" + joined + "}"
+            if f.default not in (MISSING, None):
+                kwargs["help"] += f" (default: {f.default})"
+        parser.add_argument("--" + name.replace("_", "-"), **kwargs)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="citecheck",
                      description="Verify and repair bibliographies in paper-like "
@@ -31,28 +52,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--path", required=True, help="project folder or manuscript file")
-    common.add_argument("--mode", choices=["review", "replacement"], default="review")
-    common.add_argument("--write", choices=["preview", "sidecar", "replace"],
-                        default="preview")
-    common.add_argument("--format", dest="fmt",
-                        choices=["json", "bibtex", "text", "markdown", "endnote"],
-                        default="json")
-    common.add_argument("--preset", choices=["default", "strict", "lenient"],
-                        default="default")
-    common.add_argument("--sources", default=None,
-                        help="comma list of sources (pubmed,crossref,arxiv,semantic_scholar)")
-    common.add_argument("--transport", choices=["live", "replay", "record"], default=None)
-    common.add_argument("--fixtures-dir", dest="fixtures_dir", default=None)
-    common.add_argument("--max-depth", dest="max_depth", type=int, default=8)
-    common.add_argument("--regenerate-keys", dest="regenerate_keys", action="store_true")
-    common.add_argument("--workers", type=int, default=4)
-    common.add_argument("--limit", type=int, default=5)
-
-    scan_p = sub.add_parser("scan", help="rank candidate artifacts under a path")
-    scan_p.add_argument("--path", required=True)
-    scan_p.add_argument("--max-depth", dest="max_depth", type=int, default=8)
-
+    _add_options(common)
+    _add_options(sub.add_parser("scan", help="rank candidate artifacts under a path"),
+                 scan=True)
     sub.add_parser("analyze", parents=[common],
                    help="extract and verify references; exit per policy")
     sub.add_parser("plan", parents=[common], help="analysis plus the rewrite plan")
@@ -65,60 +67,35 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _options(args: argparse.Namespace) -> RunOptions:
-    sources = None
-    if args.sources:
-        sources = tuple(s.strip() for s in args.sources.split(",") if s.strip())
-    return RunOptions(
-        path=args.path,
-        mode=args.mode,
-        write=args.write,
-        fmt=args.fmt,
-        preset=args.preset,
-        sources=sources,
-        transport=args.transport,
-        fixtures_dir=args.fixtures_dir,
-        max_depth=args.max_depth,
-        regenerate_keys=args.regenerate_keys,
-        workers=args.workers,
-        limit=args.limit,
-    )
-
-
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(parser.parse_args(argv))
+        command = args.pop("command")
+        if command is None:
+            raise UsageError("a command is required")
+        if command == "version":
+            print(__version__)
+            return 0
+        if command == "serve":
+            mcp_server.serve()
+            return 0
+        options = RunOptions.from_arguments(args, scan=command == "scan")
+        if command == "scan":
+            report = scan_workspace(options.path, max_depth=options.max_depth)
+            print(report_json(scan_report_dict(report)))
+            return 0
+        result = run_repair(options, stage=command)
+        print(render_output(result, options.fmt))
+        if result.apply_error is not None:
+            print(f"citecheck: {result.apply_error}", file=sys.stderr)
+        if command in ("analyze", "repair"):
+            return result.exit_code
+        return 0
     except UsageError as exc:
         print(f"citecheck: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EX_USAGE
-
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EX_USAGE
-    if args.command == "version":
-        print(__version__)
-        return 0
-    if args.command == "serve":
-        mcp_server.serve()
-        return 0
-
-    try:
-        if args.command == "scan":
-            report = scan_workspace(args.path, max_depth=args.max_depth)
-            print(report_json(scan_report_dict(report)))
-            return 0
-        options = _options(args)
-        stage = {"analyze": "analyze", "plan": "plan", "apply": "apply",
-                 "repair": "repair"}[args.command]
-        result = run_repair(options, stage=stage)
-        print(render_output(result, options.fmt))
-        if result.apply_error is not None:
-            print(f"citecheck: {result.apply_error}", file=sys.stderr)
-        if args.command in ("analyze", "repair"):
-            return result.exit_code
-        return 0
     except CitecheckError as exc:
         print(f"citecheck: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_OPERATIONAL

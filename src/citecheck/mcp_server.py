@@ -12,128 +12,69 @@ from __future__ import annotations
 import json
 import sys
 import traceback
+from dataclasses import MISSING
 from typing import Any, TextIO
 
 from . import __version__
 from .errors import CitecheckError
-from .pipeline import RunOptions, render_output, report_json, run_repair, scan_report_dict
+from .pipeline import (RunOptions, front_end_options, render_output, report_json,
+                       run_repair, scan_report_dict)
 from .workspace import scan_workspace
 
 PROTOCOL_VERSION = "2024-11-05"
 
-_PATH_PROP = {"type": "string", "description": "Project folder or manuscript file path"}
-_COMMON_PROPS: dict[str, Any] = {
-    "path": _PATH_PROP,
-    "preset": {"type": "string", "enum": ["default", "strict", "lenient"],
-               "description": "Policy preset gating exit decisions and replacement"},
-    "sources": {"type": "array", "items": {"type": "string"},
-                "description": "Metadata sources to query (default pubmed, crossref, arxiv)"},
-    "transport": {"type": "string", "enum": ["live", "replay", "record"],
-                  "description": "HTTP transport mode"},
-    "fixtures_dir": {"type": "string",
-                     "description": "Fixture store for replay/record transports"},
+# Tool name -> (pipeline stage, description). scan_workspace takes scan's
+# options, the four pipeline tools take all of them, like the CLI subcommands.
+_TOOLS = {
+    "scan_workspace": ("scan", "Rank the paper-like files under a path and select the "
+                       "primary manuscript or bibliography artifact."),
+    "analyze_references": ("analyze", "Extract references from the selected artifact and "
+                           "verify them against scholarly metadata sources."),
+    "plan_reference_rewrite": ("plan", "Produce a policy-gated rewrite plan with patch "
+                               "previews, rendered bibliographies, and key-mapping risk."),
+    "apply_reference_rewrite": ("apply", "Apply a rewrite plan in preview, sidecar, or "
+                                "replace mode. Blocked plans refuse write-back."),
+    "repair_paper": ("repair", "Full pipeline: scan, extract, verify, resolve manifestations, "
+                     "evaluate policy, plan, and optionally write. Returns the structured "
+                     "report."),
+    "citecheck_version": ("version", "Version of this citecheck build."),
 }
-_MODE_PROP = {"type": "string", "enum": ["review", "replacement"],
-              "description": "review reports only; replacement also plans patches"}
-_WRITE_PROP = {"type": "string", "enum": ["preview", "sidecar", "replace"],
-               "description": "Where rewrite output lands"}
+
+_JSON_TYPES = {str: "string", int: "integer", bool: "boolean", tuple: "array"}
+
+
+def _input_schema(stage: str) -> dict:
+    options = [] if stage == "version" else front_end_options(scan=stage == "scan")
+    properties = {}
+    for f, name, kind in options:
+        meta = f.metadata
+        prop: dict[str, Any] = {"type": _JSON_TYPES[kind], "description": meta["help"]}
+        enum = {"enum": list(meta["choices"])} if meta["choices"] is not None else {}
+        prop.update({"items": {"type": "string", **enum}} if kind is tuple else enum)
+        prop.update({k: meta[k] for k in ("minimum", "maximum") if meta[k] is not None})
+        if f.default not in (MISSING, None):
+            prop["default"] = f.default
+        properties[name] = prop
+    return {"type": "object", "properties": properties,
+            "required": [name for f, name, _ in options if f.default is MISSING],
+            "additionalProperties": False}
 
 
 def tool_descriptors() -> list[dict]:
     """The six-tool surface, stable across calls."""
-    return [
-        {
-            "name": "scan_workspace",
-            "description": "Rank the paper-like files under a path and select "
-                           "the primary manuscript or bibliography artifact.",
-            "inputSchema": {
-                "type": "object",
-                "properties": {"path": _PATH_PROP,
-                               "max_depth": {"type": "integer", "minimum": 1}},
-                "required": ["path"],
-            },
-        },
-        {
-            "name": "analyze_references",
-            "description": "Extract references from the selected artifact and "
-                           "verify them against scholarly metadata sources.",
-            "inputSchema": {
-                "type": "object",
-                "properties": dict(_COMMON_PROPS),
-                "required": ["path"],
-            },
-        },
-        {
-            "name": "plan_reference_rewrite",
-            "description": "Produce a policy-gated rewrite plan with patch "
-                           "previews, rendered bibliographies, and key-mapping risk.",
-            "inputSchema": {
-                "type": "object",
-                "properties": {**_COMMON_PROPS, "mode": _MODE_PROP,
-                               "regenerate_keys": {"type": "boolean"}},
-                "required": ["path"],
-            },
-        },
-        {
-            "name": "apply_reference_rewrite",
-            "description": "Apply a rewrite plan in preview, sidecar, or replace "
-                           "mode. Blocked plans refuse write-back.",
-            "inputSchema": {
-                "type": "object",
-                "properties": {**_COMMON_PROPS, "mode": _MODE_PROP, "write": _WRITE_PROP,
-                               "regenerate_keys": {"type": "boolean"}},
-                "required": ["path"],
-            },
-        },
-        {
-            "name": "repair_paper",
-            "description": "Full pipeline: scan, extract, verify, resolve "
-                           "manifestations, evaluate policy, plan, and optionally "
-                           "write. Returns the structured report.",
-            "inputSchema": {
-                "type": "object",
-                "properties": {**_COMMON_PROPS, "mode": _MODE_PROP, "write": _WRITE_PROP,
-                               "format": {"type": "string",
-                                          "enum": ["json", "bibtex", "text",
-                                                   "markdown", "endnote"]},
-                               "max_depth": {"type": "integer", "minimum": 1},
-                               "regenerate_keys": {"type": "boolean"}},
-                "required": ["path"],
-            },
-        },
-        {
-            "name": "citecheck_version",
-            "description": "Version of this citecheck build.",
-            "inputSchema": {"type": "object", "properties": {}},
-        },
-    ]
-
-
-def _options_from_args(args: dict) -> RunOptions:
-    return RunOptions(
-        path=args["path"],
-        mode=args.get("mode", "review"),
-        write=args.get("write", "preview"),
-        fmt=args.get("format", "json"),
-        preset=args.get("preset", "default"),
-        sources=tuple(args["sources"]) if args.get("sources") else None,
-        transport=args.get("transport"),
-        fixtures_dir=args.get("fixtures_dir"),
-        max_depth=int(args.get("max_depth", 8)),
-        regenerate_keys=bool(args.get("regenerate_keys", False)),
-    )
+    return [{"name": name, "description": description, "inputSchema": _input_schema(stage)}
+            for name, (stage, description) in _TOOLS.items()]
 
 
 def call_tool(name: str, args: dict) -> tuple[str, bool]:
     """Run one tool; returns (payload text, is_error)."""
-    if name == "citecheck_version":
+    stage = _TOOLS[name][0]
+    if stage == "version":
         return json.dumps({"version": __version__}), False
-    if name == "scan_workspace":
-        report = scan_workspace(args["path"], max_depth=int(args.get("max_depth", 8)))
+    options = RunOptions.from_arguments(args, scan=stage == "scan")
+    if stage == "scan":
+        report = scan_workspace(options.path, max_depth=options.max_depth)
         return report_json(scan_report_dict(report)), False
-    options = _options_from_args(args)
-    stage = {"analyze_references": "analyze", "plan_reference_rewrite": "plan",
-             "apply_reference_rewrite": "apply", "repair_paper": "repair"}[name]
     run = run_repair(options, stage=stage)
     payload = render_output(run, options.fmt)
     # A write that policy refused is an error payload, but the report still
@@ -176,8 +117,7 @@ class McpServer:
         if method == "tools/call":
             params = request.get("params") or {}
             name = params.get("name", "")
-            known = {d["name"] for d in tool_descriptors()}
-            if name not in known:
+            if name not in _TOOLS:
                 self._error(request_id, -32601, f"unknown tool: {name}")
                 return
             args = params.get("arguments") or {}

@@ -6,42 +6,104 @@ deterministic for fixed inputs and a fixed fixture store: sorted keys,
 relative forward-slash paths, no timestamps, zero latency under replay.
 """
 
-from __future__ import annotations
-
 import json
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
-from .errors import BlockedByPolicy
+from .errors import BlockedByPolicy, UsageError
 from .extraction import ExtractionResult, extract_references
 from .matching import DEFAULT_WORKERS, EntryVerdict, verify_entries
 from .policy import PRESETS, PolicyDecision, evaluate_policy, summarize_batch
 from .rewrite import (ApplyResult, RewritePlan, analyze_key_mapping, apply_rewrite,
                       plan_rewrite)
+from .rewrite.models import PLAN_MODES, RENDER_FORMATS, WRITE_MODES
 from .sources import SourceConfig, config_from_env, make_transport, summarize_health
-from .sources.models import DEFAULT_QUERY_LIMIT
-from .workspace import ScanReport, scan_workspace, select_primary_artifact
+from .sources.config import TRANSPORT_MODES
+from .sources.models import DEFAULT_QUERY_LIMIT, MAX_QUERY_LIMIT, SOURCES
+from .workspace import (DEFAULT_MAX_DEPTH, ScanReport, scan_workspace,
+                        select_primary_artifact)
 
 STAGES = ("analyze", "plan", "apply", "repair")
 
 
+def _option(help: str, default=MISSING, *, name: str | None = None, choices=None,
+            minimum: int | None = None, maximum: int | None = None, scan: bool = False):
+    """A RunOptions field both front ends expose; `name` overrides the field name."""
+    return field(default=default, metadata=dict(
+        help=help, name=name, choices=choices, minimum=minimum, maximum=maximum, scan=scan))
+
+
 @dataclass(frozen=True)
 class RunOptions:
-    path: str
-    mode: str = "review"  # review | replacement
-    write: str = "preview"  # preview | sidecar | replace
-    fmt: str = "json"
-    preset: str = "default"
-    sources: tuple[str, ...] | None = None
-    transport: str | None = None
-    fixtures_dir: str | None = None
-    max_depth: int = 8
-    regenerate_keys: bool = False
-    workers: int = DEFAULT_WORKERS
-    limit: int = DEFAULT_QUERY_LIMIT
+    """The one table of run options; CLI flags and MCP tool schemas derive from it.
+
+    Construction validates each option, raising UsageError. `env` is library-only.
+    """
+
+    path: str = _option("Project folder or manuscript file", scan=True)
+    mode: str = _option("review, or replacement to plan patches", "review", choices=PLAN_MODES)
+    write: str = _option("Where rewrite output lands", "preview", choices=WRITE_MODES)
+    fmt: str = _option("Report or bibliography format", "json", name="format",
+                       choices=RENDER_FORMATS)
+    preset: str = _option("Policy preset", "default", choices=tuple(PRESETS))
+    sources: tuple[str, ...] | None = _option("Sources to query", None, choices=SOURCES)
+    transport: str | None = _option("HTTP transport mode", None, choices=TRANSPORT_MODES)
+    fixtures_dir: str | None = _option("Fixture store for replay/record transports", None)
+    max_depth: int = _option("Folder levels scanned", DEFAULT_MAX_DEPTH, minimum=1, scan=True)
+    regenerate_keys: bool = _option("Regenerate citation keys in the rewrite", False)
+    workers: int = _option("Entries verified concurrently", DEFAULT_WORKERS, minimum=1)
+    limit: int = _option("Candidates requested per source query", DEFAULT_QUERY_LIMIT,
+                         minimum=1, maximum=MAX_QUERY_LIMIT)
     env: dict[str, str] | None = None  # defaults to os.environ
+
+    def __post_init__(self) -> None:
+        for f, name, kind in front_end_options():
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                _check_option(name, kind, f.metadata, value)
+
+    @classmethod
+    def from_arguments(cls, arguments: dict, scan: bool = False) -> "RunOptions":
+        """Options from front-end arguments keyed by external name; lists become tuples."""
+        fields_by_name = {name: f.name for f, name, _ in front_end_options(scan)}
+        if not isinstance(arguments, dict):
+            raise UsageError("arguments must be an object")
+        unknown = sorted(set(arguments) - set(fields_by_name))
+        if unknown:
+            raise UsageError(f"unknown option: {', '.join(unknown)}")
+        if "path" not in arguments:
+            raise UsageError("missing required option: path")
+        return cls(**{fields_by_name[name]: (tuple(v) or None) if isinstance(v, list) else v
+                      for name, v in arguments.items()})
+
+
+def front_end_options(scan: bool = False) -> list[tuple[Field, str, type]]:
+    """(field, external name, kind: str, int, bool or tuple) per option; `scan`: scan's."""
+    options = []
+    for f in fields(RunOptions):
+        if f.metadata and (f.metadata["scan"] or not scan):
+            hint = (typing.get_args(f.type) or (f.type,))[0]  # drop `| None`
+            options.append((f, f.metadata["name"] or f.name, typing.get_origin(hint) or hint))
+    return options
+
+
+def _check_option(name: str, kind: type, meta, value) -> None:
+    items = value if kind is tuple and isinstance(value, tuple) else (value,)
+    item_kind = {tuple: str, str: (str, os.PathLike)}.get(kind, kind)  # str takes a Path
+    # bool is a subclass of int, but True is no count.
+    if not isinstance(value, tuple if kind is tuple else item_kind) or any(
+            not isinstance(v, item_kind) or isinstance(v, bool) != (item_kind is bool)
+            for v in items):
+        raise UsageError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    choices, low, high = meta["choices"], meta["minimum"], meta["maximum"]
+    if choices is not None and any(v not in choices for v in items):
+        raise UsageError(f"{name} must be one of {', '.join(choices)}; got {value!r}")
+    if (low is not None and value < low) or (high is not None and value > high):
+        bounds = f"at least {low}" if high is None else f"between {low} and {high}"
+        raise UsageError(f"{name} must be {bounds}, got {value}")
 
 
 @dataclass

@@ -24,11 +24,10 @@ from ..extraction.text import entry_marker
 from ..matching import BLOCKING_ISSUES, EntryVerdict
 from ..policy import PolicyDecision
 from ..sources import CandidateRecord
+from ..workspace import sidecar_path
 from .keys import assign_citation_keys
 from .models import ApplyResult, KeyMapping, Patch, RewritePlan
 from .render import (MergedEntry, merge_entry, patch_text_entry, render_bibliography)
-
-SIDECAR_MARKER = "citecheck"
 
 
 def file_digest(data: bytes) -> str:
@@ -332,12 +331,6 @@ def plan_rewrite(artifact_path: str | Path, extraction: ExtractionResult,
 # --------------------------------------------------------------------------
 # Application
 # --------------------------------------------------------------------------
-
-def sidecar_path(target: Path) -> Path:
-    stem = target.stem
-    suffix = target.suffix
-    return target.with_name(f"{stem}.{SIDECAR_MARKER}{suffix}")
-
 
 def _apply_patches(original: bytes, patches: list[Patch], encoding: str) -> bytes:
     data = original

@@ -6,8 +6,8 @@ from .connectors import (SOURCE_CAPABILITIES, classify_failure, query_source,
 from .models import (CandidateRecord, FailureClass, Query, QueryOutcome, SOURCES,
                      SourceHealth, make_failure)
 from .transport import (FixtureStore, HttpRequest, LiveTransport, RawResponse,
-                        RecordTransport, RefusingTransport, ReplayTransport, Transport,
-                        make_transport, request_key, transport_fetch)
+                        RecordTransport, ReplayTransport, Transport, make_transport,
+                        request_key)
 
 __all__ = [
     "SOURCES", "SOURCE_CAPABILITIES", "DEFAULT_ENABLED",
@@ -16,6 +16,5 @@ __all__ = [
     "make_failure", "classify_failure", "query_source", "sort_candidates",
     "summarize_health", "supports",
     "Transport", "LiveTransport", "ReplayTransport", "RecordTransport",
-    "RefusingTransport", "FixtureStore", "HttpRequest", "RawResponse",
-    "make_transport", "request_key", "transport_fetch",
+    "FixtureStore", "HttpRequest", "RawResponse", "make_transport", "request_key",
 ]

@@ -32,7 +32,6 @@ class SourceConfig:
     pubmed_api_key: str | None = None
     s2_api_key: str | None = None
     crossref_mailto: str | None = None
-    timeout_s: float = 15.0
 
     def __post_init__(self) -> None:
         for source in self.enabled_sources:

@@ -89,19 +89,6 @@ def classify_failure(status: int | None, body_state: str = "ok",
 # Request builders (pure; also used by fixture tooling to precompute keys)
 # --------------------------------------------------------------------------
 
-def build_requests(source: str, query: Query, config: SourceConfig) -> list[HttpRequest]:
-    """Initial request(s) for a query. PubMed's esummary step is derived later."""
-    if source == "crossref":
-        return [crossref_request(query, config)]
-    if source == "pubmed":
-        return [pubmed_esearch_request(query, config)]
-    if source == "arxiv":
-        return [arxiv_request(query, config)]
-    if source == "semantic_scholar":
-        return [s2_request(query, config)]
-    raise ValueError(f"unknown source: {source}")
-
-
 def crossref_request(query: Query, config: SourceConfig) -> HttpRequest:
     auth = (("mailto", config.crossref_mailto),) if config.crossref_mailto else ()
     if query.kind == "doi_lookup":
@@ -241,7 +228,10 @@ def _pubmed_year(pubdate: str) -> int | None:
 
 def parse_pubmed_esearch(body: bytes) -> list[str]:
     data = json.loads(body.decode("utf-8"))
-    return list(data["esearchresult"]["idlist"])
+    ids = data["esearchresult"]["idlist"]
+    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+        raise ValueError("esearchresult.idlist is not a list of id strings")
+    return ids
 
 
 def parse_pubmed_esummary(body: bytes, provenance: str) -> list[CandidateRecord]:
@@ -372,8 +362,37 @@ def parse_s2_body(body: bytes, kind: str, provenance: str) -> list[CandidateReco
 # Query execution
 # --------------------------------------------------------------------------
 
-def _failure_outcome(source: str, query: Query, failure: FailureClass,
-                     latency_ms: int) -> QueryOutcome:
+# Single-request sources: (request builder, parser). PubMed needs two
+# requests (esearch, then esummary) and has its own path, _query_pubmed.
+_SINGLE_REQUEST = {
+    "crossref": (crossref_request, parse_crossref_body),
+    "arxiv": (arxiv_request, lambda body, kind, key: parse_arxiv_feed(body, key)),
+    "semantic_scholar": (s2_request, parse_s2_body),
+}
+
+
+def _fetch_parsed(source: str, query: Query, transport: Transport, request: HttpRequest,
+                  parse, latency_ms: int = 0) -> tuple[list, int] | QueryOutcome:
+    """Fetch one request: (parse(body, query kind, request key), total latency).
+
+    Or a failure outcome: a transport-level problem keeps its class, any
+    exception raised while parsing a 2xx body is payload_shape, and an empty
+    parse is not_found.
+    """
+    response = transport.fetch(request)
+    latency_ms += response.latency_ms
+    failure = _response_failure(response)
+    if failure is None:
+        try:
+            parsed = parse(response.body, query.kind, request_key(request))
+        except Exception as exc:  # a remote body must never crash the run
+            failure = classify_failure(response.status, "malformed")
+            failure = FailureClass(failure.failure, f"{failure.detail}: {exc}",
+                                   failure.retryable)
+        else:
+            if parsed:
+                return parsed, latency_ms
+            failure = classify_failure(response.status, "empty")
     return QueryOutcome(source=source, query=query, failure=failure, latency_ms=latency_ms)
 
 
@@ -400,79 +419,36 @@ def query_source(source: str, query: Query, transport: Transport,
 
     try:
         if source == "pubmed":
-            return _query_pubmed(query, transport, config)
-        request = build_requests(source, query, config)[0]
-        key = request_key(request)
-        response = transport.fetch(request)
-        failure = _response_failure(response)
-        if failure is not None:
-            return _failure_outcome(source, query, failure, response.latency_ms)
-        try:
-            if source == "crossref":
-                records = parse_crossref_body(response.body, query.kind, key)
-            elif source == "arxiv":
-                records = parse_arxiv_feed(response.body, key)
-            else:
-                records = parse_s2_body(response.body, query.kind, key)
-        except (ValueError, KeyError, TypeError, ET.ParseError) as exc:
-            failure = classify_failure(response.status, "malformed")
-            failure = FailureClass(failure.failure, f"{failure.detail}: {exc}",
-                                   failure.retryable)
-            return _failure_outcome(source, query, failure, response.latency_ms)
-        if not records:
-            return _failure_outcome(source, query, classify_failure(response.status, "empty"),
-                                    response.latency_ms)
-        return QueryOutcome(source=source, query=query, records=tuple(records),
-                            latency_ms=response.latency_ms)
+            result = _query_pubmed(query, transport, config)
+        else:
+            build, parse = _SINGLE_REQUEST[source]
+            result = _fetch_parsed(source, query, transport, build(query, config), parse)
     except FixtureMissing as exc:
         # Incomplete fixture stores degrade to a transport failure so replay
         # runs report health instead of crashing mid-batch.
-        return _failure_outcome(source, query,
-                                make_failure("transport", str(exc)), 0)
+        return QueryOutcome(source=source, query=query,
+                            failure=make_failure("transport", str(exc)))
+    if isinstance(result, QueryOutcome):
+        return result
+    records, latency_ms = result
+    return QueryOutcome(source=source, query=query, records=tuple(records),
+                        latency_ms=latency_ms)
 
 
-def _query_pubmed(query: Query, transport: Transport, config: SourceConfig) -> QueryOutcome:
+def _query_pubmed(query: Query, transport: Transport,
+                  config: SourceConfig) -> tuple[list, int] | QueryOutcome:
     if query.kind == "pmid_lookup":
-        ids = [query.text]
-        latency = 0
+        ids, latency_ms = [query.text], 0
     else:
-        search_request = pubmed_esearch_request(query, config)
-        search_response = transport.fetch(search_request)
-        failure = _response_failure(search_response)
-        if failure is not None:
-            return _failure_outcome("pubmed", query, failure, search_response.latency_ms)
-        try:
-            ids = parse_pubmed_esearch(search_response.body)
-        except (ValueError, KeyError, TypeError) as exc:
-            failure = classify_failure(search_response.status, "malformed")
-            failure = FailureClass(failure.failure, f"{failure.detail}: {exc}",
-                                   failure.retryable)
-            return _failure_outcome("pubmed", query, failure, search_response.latency_ms)
-        if not ids:
-            return _failure_outcome("pubmed", query,
-                                    classify_failure(search_response.status, "empty"),
-                                    search_response.latency_ms)
+        search = _fetch_parsed("pubmed", query, transport,
+                               pubmed_esearch_request(query, config),
+                               lambda body, kind, key: parse_pubmed_esearch(body))
+        if isinstance(search, QueryOutcome):
+            return search
+        ids, latency_ms = search
         ids = ids[: query.limit]
-        latency = search_response.latency_ms
-
-    summary_request = pubmed_esummary_request(ids, config)
-    key = request_key(summary_request)
-    summary_response = transport.fetch(summary_request)
-    latency += summary_response.latency_ms
-    failure = _response_failure(summary_response)
-    if failure is not None:
-        return _failure_outcome("pubmed", query, failure, latency)
-    try:
-        records = parse_pubmed_esummary(summary_response.body, key)
-    except (ValueError, KeyError, TypeError) as exc:
-        failure = classify_failure(summary_response.status, "malformed")
-        failure = FailureClass(failure.failure, f"{failure.detail}: {exc}", failure.retryable)
-        return _failure_outcome("pubmed", query, failure, latency)
-    if not records:
-        return _failure_outcome("pubmed", query,
-                                classify_failure(summary_response.status, "empty"), latency)
-    return QueryOutcome(source="pubmed", query=query, records=tuple(records),
-                        latency_ms=latency)
+    return _fetch_parsed("pubmed", query, transport, pubmed_esummary_request(ids, config),
+                         lambda body, kind, key: parse_pubmed_esummary(body, key), latency_ms)
 
 
 def sort_candidates(records: list[CandidateRecord]) -> list[CandidateRecord]:

@@ -202,21 +202,6 @@ class RecordTransport(Transport):
         return response
 
 
-class RefusingTransport(Transport):
-    """Fails on any fetch; used to prove a code path makes no requests."""
-
-    def __init__(self):
-        self.calls: list[str] = []
-
-    @property
-    def mode(self) -> str:
-        return "refusing"
-
-    def fetch(self, request: HttpRequest) -> RawResponse:
-        self.calls.append(request_key(request))
-        raise AssertionError(f"unexpected network request: {request_key(request)}")
-
-
 def make_transport(mode: str, fixtures_dir: str | Path | None = None,
                    timeout_s: float = 15.0) -> Transport:
     if mode == "live":
@@ -230,7 +215,3 @@ def make_transport(mode: str, fixtures_dir: str | Path | None = None,
         return RecordTransport(store, live=LiveTransport(timeout_s=timeout_s))
     raise ConfigError(f"unknown transport mode: {mode}")
 
-
-def transport_fetch(request: HttpRequest, transport: Transport) -> RawResponse:
-    """Single fetch through whichever transport mode is active."""
-    return transport.fetch(request)

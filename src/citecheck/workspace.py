@@ -27,6 +27,10 @@ PROBE_BYTES = 64 * 1024
 
 DEFAULT_MAX_DEPTH = 8
 
+# Sidecar writes land in `<stem>.citecheck.<ext>`; scans skip them so a
+# repair's output never becomes the next run's input.
+SIDECAR_MARKER = "citecheck"
+
 _SECTION_HEADERS = ("references", "bibliography", "works cited")
 _BIB_MARKERS = ("\\bibliography{", "\\addbibresource{", "\\begin{thebibliography}", "\\bibitem")
 
@@ -110,6 +114,14 @@ def score_candidate(candidate_path: Path, content_probe: str | None,
     )
 
 
+def sidecar_path(target: Path) -> Path:
+    return target.with_name(f"{target.stem}.{SIDECAR_MARKER}{target.suffix}")
+
+
+def is_sidecar(path: Path) -> bool:
+    return Path(path.stem).suffix == f".{SIDECAR_MARKER}"
+
+
 def _read_probe(path: Path) -> tuple[str | None, str | None]:
     try:
         with open(path, "rb") as fh:
@@ -138,7 +150,8 @@ def scan_workspace(root: str | os.PathLike[str], max_depth: int = DEFAULT_MAX_DE
 
     `max_depth` counts directory levels below root: files in root itself
     are always visible, files under `a/b/c/` need max_depth >= 3. Hidden
-    and generated directories are skipped wholesale and recorded. `root`
+    and generated directories are skipped wholesale and recorded; sidecar
+    outputs are never candidates. `root`
     may also be a single file, in which case the report holds at most that
     file.
     """
@@ -188,7 +201,7 @@ def scan_workspace(root: str | os.PathLike[str], max_depth: int = DEFAULT_MAX_DE
             if not entry.is_file():
                 continue
             ext = entry.suffix.lower().lstrip(".")
-            if ext not in EXTENSION_RANK:
+            if ext not in EXTENSION_RANK or is_sidecar(entry):
                 continue
             probe, err = _read_probe(entry)
             rel = entry.relative_to(root_path).as_posix()

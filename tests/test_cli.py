@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from citecheck.cli import run
 
 
@@ -26,6 +28,22 @@ def test_usage_error_exits_64(capsys):
 
 def test_unknown_flag_exits_64(capsys):
     assert run(["repair", "--path", "x", "--bogus"]) == 64
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("analyze", ["--limit", "50"]),
+    ("analyze", ["--limit", "0"]),
+    ("repair", ["--max-depth", "0"]),
+    ("scan", ["--max-depth", "0"]),
+    ("analyze", ["--workers", "0"]),
+    ("analyze", ["--sources", "foo"]),
+])
+def test_out_of_range_option_exits_64(tmp_path, capsys, command, flag):
+    (tmp_path / "refs.bib").write_text("@misc{k, title={T}}\n")
+    assert run([command, "--path", str(tmp_path), *flag]) == 64
+    err = capsys.readouterr().err
+    assert "usage" in err.lower()
+    assert flag[0].lstrip("-").replace("-", "_") in err
 
 
 def test_no_command_exits_64(capsys):

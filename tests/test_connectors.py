@@ -7,12 +7,15 @@ import json
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import corpus
 from citecheck.errors import FixtureMissing
-from citecheck.sources import (FixtureStore, LiveTransport, Query, RecordTransport,
-                               ReplayTransport, SourceConfig, classify_failure,
-                               query_source, request_key, summarize_health)
+from citecheck.sources import (SOURCE_CAPABILITIES, SOURCES, FixtureStore, LiveTransport,
+                               Query, RecordTransport, ReplayTransport, SourceConfig,
+                               Transport, classify_failure, query_source, request_key,
+                               summarize_health)
 from citecheck.sources.connectors import (arxiv_request, crossref_request,
                                           parse_arxiv_feed, parse_crossref_body,
                                           parse_pubmed_esummary, parse_s2_body)
@@ -337,12 +340,74 @@ def test_health_recount_oracle():
             dict(entry.failures_by_class).values())
 
 
-def test_transport_fetch_wrapper(tmp_path):
-    from citecheck.sources import transport_fetch
-    store = FixtureStore(tmp_path)
-    request = HttpRequest(source="arxiv", url="https://export.arxiv.org/api/query",
-                          params=(("id_list", "1234.5678"),))
-    store.save(request_key(request), RawResponse(status=200, body=b"<feed/>"))
-    response = transport_fetch(request, ReplayTransport(store))
-    assert response.status == 200
-    assert response.body == b"<feed/>"
+# ---------------------------------------------------------------------------
+# Connector contract: no 2xx body crashes query_source
+# ---------------------------------------------------------------------------
+
+# Wire field names the parsers read, so generated objects reach past the
+# first lookup often enough to exercise the per-record code.
+_WIRE_KEYS = st.sampled_from([
+    "message", "items", "DOI", "title", "author", "family", "given", "container-title",
+    "relation", "is-preprint-of", "id-type", "id", "type", "issued", "date-parts",
+    "esearchresult", "idlist", "result", "uids", "articleids", "idtype", "value",
+    "elocationid", "authors", "name", "pubdate", "fulljournalname", "source", "data",
+    "paperId", "externalIds", "ArXiv", "PubMed", "publicationTypes", "year", "venue",
+])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(_WIRE_KEYS | st.text(max_size=4), children,
+                                        max_size=5)),
+    max_leaves=25)
+_JSON_BODIES = _JSON_VALUES.map(lambda value: json.dumps(value).encode("utf-8"))
+_ATOM_FIELD = st.text(alphabet=st.characters(exclude_characters="<&"), max_size=12)
+_ARXIV_BODIES = st.text() | st.lists(
+    st.tuples(_ATOM_FIELD, _ATOM_FIELD, _ATOM_FIELD, _ATOM_FIELD), max_size=3).map(
+    lambda entries: '<feed xmlns="http://www.w3.org/2005/Atom" '
+                    'xmlns:arxiv="http://arxiv.org/schemas/atom">' + "".join(
+                        f"<entry><id>{i}</id><title>{t}</title><published>{p}"
+                        f"</published><arxiv:doi>{d}</arxiv:doi></entry>"
+                        for i, t, p, d in entries) + "</feed>")
+_ALL_ENABLED = SourceConfig(enabled_sources=SOURCES)
+
+
+def _supported(*sources: str) -> list[tuple[str, str]]:
+    return [(s, k) for s in sources for k in sorted(SOURCE_CAPABILITIES[s])]
+
+
+class _BodiesTransport(Transport):
+    """Answers every request with 200 and the next body, cycling."""
+
+    def __init__(self, bodies: list[bytes]):
+        self.bodies = bodies
+        self.calls = 0
+
+    def fetch(self, request: HttpRequest) -> RawResponse:
+        body = self.bodies[self.calls % len(self.bodies)]
+        self.calls += 1
+        return RawResponse(status=200, body=body)
+
+
+def _assert_outcome(source: str, kind: str, bodies: list[bytes]) -> None:
+    outcome = query_source(source, Query(kind=kind, text="1234.5678"),
+                           _BodiesTransport(bodies), _ALL_ENABLED)
+    assert isinstance(outcome, QueryOutcome)
+    assert outcome.ok or outcome.failure.failure in ("payload_shape", "not_found")
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(_supported("crossref", "pubmed", "semantic_scholar")),
+       st.lists(_JSON_BODIES, min_size=2, max_size=2))
+@example(("crossref", "title_search"), [b'{"message":{"items":[1]}}'] * 2)
+@example(("crossref", "title_search"),
+         [b'{"message":{"items":[{"DOI":5,"title":["x"]}]}}'] * 2)
+def test_query_source_survives_any_json_body(source_kind, bodies):
+    _assert_outcome(*source_kind, bodies)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(_supported("arxiv")), _ARXIV_BODIES)
+def test_query_source_survives_any_arxiv_text(source_kind, text):
+    # Lone surrogates encode to bytes that are not UTF-8, which arXiv might send too.
+    _assert_outcome(*source_kind, [text.encode("utf-8", "surrogatepass")])

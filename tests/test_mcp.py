@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 
+import pytest
+
 from citecheck import __version__
+from citecheck.cli import build_parser
 from citecheck.mcp_server import McpServer, tool_descriptors
+from citecheck.pipeline import front_end_options
 
 EXPECTED_TOOLS = ["scan_workspace", "analyze_references", "plan_reference_rewrite",
                   "apply_reference_rewrite", "repair_paper", "citecheck_version"]
@@ -137,3 +142,64 @@ def test_apply_tool_sidecar(tmp_path, corpus_paths):
     assert (workspace / "biomed.citecheck.bib").exists()
     report = json.loads(result["content"][0]["text"])
     assert report["apply"]["applied"] is True
+
+
+# The one option table (RunOptions) fixes both surfaces.
+PIPELINE_OPTIONS = {"path", "mode", "write", "format", "preset", "sources", "transport",
+                    "fixtures_dir", "max_depth", "regenerate_keys", "workers", "limit"}
+SURFACES = [("scan", "scan_workspace", {"path", "max_depth"}),
+            ("analyze", "analyze_references", PIPELINE_OPTIONS),
+            ("plan", "plan_reference_rewrite", PIPELINE_OPTIONS),
+            ("apply", "apply_reference_rewrite", PIPELINE_OPTIONS),
+            ("repair", "repair_paper", PIPELINE_OPTIONS)]
+
+
+@pytest.mark.parametrize("command,tool,expected", SURFACES)
+def test_cli_flags_equal_tool_properties(command, tool, expected):
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest for a in subparsers.choices[command]._actions if a.dest != "help"}
+    schema = next(t["inputSchema"] for t in tool_descriptors() if t["name"] == tool)
+    fields = {name for _, name, _ in front_end_options(scan=command == "scan")}
+    assert flags == set(schema["properties"]) == fields == expected
+    assert schema["required"] == ["path"]
+    assert schema["additionalProperties"] is False
+
+
+@pytest.mark.parametrize("tool,arguments", [
+    ("analyze_references", {"path": "p", "limit": 50}),
+    ("analyze_references", {"path": "p", "limit": 0}),
+    ("repair_paper", {"path": "p", "max_depth": 0}),
+    ("scan_workspace", {"path": "p", "max_depth": 0}),
+    ("analyze_references", {"path": "p", "workers": 0}),
+    ("analyze_references", {"path": "p", "workers": "2"}),
+    ("analyze_references", {"path": "p", "sources": ["foo"]}),
+    ("repair_paper", {"path": "p", "preset": "nope"}),
+    ("plan_reference_rewrite", {"path": "p", "bogus": True}),
+    ("scan_workspace", {"path": "p", "mode": "review"}),
+    ("scan_workspace", {}),
+    ("apply_reference_rewrite", {"mode": "replacement"}),
+])
+def test_bad_arguments_are_usage_errors(tool, arguments):
+    responses = _exchange([_call(tool, arguments)])
+    result = responses[0]["result"]
+    assert result["isError"] is True
+    error = json.loads(result["content"][0]["text"])["error"]
+    assert error["type"] == "UsageError"
+
+
+def test_workers_and_limit_reach_the_run(corpus_paths, monkeypatch):
+    from citecheck import pipeline
+    seen = {}
+    verify_entries = pipeline.verify_entries
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return verify_entries(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "verify_entries", spy)
+    responses = _exchange([_call("analyze_references", {
+        "path": str(corpus_paths["main"]), "transport": "replay",
+        "fixtures_dir": str(corpus_paths["fixtures"]), "workers": 1, "limit": 2})])
+    assert responses[0]["result"]["isError"] is False
+    assert seen == {"workers": 1, "limit": 2}

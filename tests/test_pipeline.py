@@ -190,3 +190,8 @@ def test_combined_workspace_gate_interaction(corpus_paths, tmp_path):
     assert result.plan.blocked and result.plan.patches == ()
     assert result.apply_error is not None
     assert (combined / "combined.bib").read_bytes() == before
+
+
+def test_run_options_take_path_objects_for_paths(tmp_path):
+    options = RunOptions(path=tmp_path, fixtures_dir=tmp_path)
+    assert options.path == tmp_path and options.fixtures_dir == tmp_path

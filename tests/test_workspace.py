@@ -141,3 +141,22 @@ def test_paths_use_forward_slashes(tmp_path):
     _touch(tmp_path / "sub" / "refs.bib", "@misc{a, title={T}}")
     report = scan_workspace(tmp_path)
     assert report.candidates[0].path == "sub/refs.bib"
+
+
+def test_sidecar_is_never_a_candidate(tmp_path):
+    _touch(tmp_path / "paper.md", "# References\n")
+    _touch(tmp_path / "paper.citecheck.md", "# References\n")
+    report = scan_workspace(tmp_path)
+    assert [c.path for c in report.candidates] == ["paper.md"]
+
+
+def test_repeated_sidecar_repair_is_byte_identical(tmp_path, corpus_paths, replay_options):
+    import shutil
+
+    from citecheck.pipeline import report_json, run_repair
+    workspace = tmp_path / "biomed"
+    shutil.copytree(corpus_paths["biomed"], workspace)
+    options = replay_options(workspace, mode="replacement", write="sidecar")
+    first = report_json(run_repair(options).report)
+    assert (workspace / "biomed.citecheck.bib").is_file()
+    assert report_json(run_repair(options).report) == first

@@ -13,7 +13,7 @@ from pathlib import Path
 from ..errors import UnreadableFile, UnsupportedFormat
 from . import bibtex as bibtex_mod
 from . import latex as latex_mod
-from .bibtex import char_to_byte_span, parse_bibtex
+from .bibtex import char_to_byte_spans, parse_bibtex
 from .docx import extract_docx_text
 from .lint import lint_bibliography
 from .models import (ExtractionResult, LintFinding, RawReference, ReferenceInput,
@@ -26,7 +26,7 @@ __all__ = [
     "ExtractionResult", "LintFinding", "RawReference", "ReferenceInput",
     "RejectedReference", "extract_references", "detect_reference_section",
     "parse_bibtex", "extract_docx_text", "normalize_reference", "lint_bibliography",
-    "resolve_tex_bib_resources", "read_text_exact",
+    "resolve_tex_bib_resources", "read_text_exact", "decode_exact",
 ]
 
 resolve_tex_bib_resources = latex_mod.resolve_tex_bib_resources
@@ -34,21 +34,26 @@ resolve_tex_bib_resources = latex_mod.resolve_tex_bib_resources
 SUPPORTED_EXTENSIONS = ("bib", "tex", "md", "txt", "docx")
 
 
-def read_text_exact(path: Path) -> tuple[str, str]:
-    """Decode a file for span-accurate parsing.
+def decode_exact(raw: bytes) -> tuple[str, str]:
+    """Decode file bytes for span-accurate parsing.
 
     Returns (text, encoding). UTF-8 first; latin-1 fallback keeps a 1:1
     byte/char mapping for files with stray high bytes, so spans stay exact
     either way.
     """
     try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise UnreadableFile(f"{path}: {exc}") from exc
-    try:
         return raw.decode("utf-8"), "utf-8"
     except UnicodeDecodeError:
         return raw.decode("latin-1"), "latin-1"
+
+
+def read_text_exact(path: Path) -> tuple[str, str]:
+    """Read and decode a file with :func:`decode_exact`."""
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise UnreadableFile(f"{path}: {exc}") from exc
+    return decode_exact(raw)
 
 
 def extract_references(artifact_path: str | Path) -> ExtractionResult:
@@ -102,9 +107,9 @@ def _extract_bib(path: Path, result: ExtractionResult | None = None,
         result = ExtractionResult(artifact_path=str(path), origin_format="bibtex")
     text, encoding = read_text_exact(path)
     parsed = parse_bibtex(text)
+    spans = char_to_byte_spans(text, [entry.span for entry in parsed.entries], encoding)
     raws: list[tuple[RawReference, dict[str, str]]] = []
-    for i, entry in enumerate(parsed.entries):
-        span = char_to_byte_span(text, entry.span, encoding)
+    for i, (entry, span) in enumerate(zip(parsed.entries, spans)):
         raw = RawReference(
             source_span=span,
             original_text=text[entry.span[0]:entry.span[1]],
@@ -145,9 +150,9 @@ def _extract_tex(path: Path) -> ExtractionResult:
 
     items = latex_mod.extract_bibitems(text)
     if items:
+        spans = char_to_byte_spans(text, [item.span for item in items], encoding)
         raws: list[tuple[RawReference, dict[str, str]]] = []
-        for i, item in enumerate(items):
-            span = char_to_byte_span(text, item.span, encoding)
+        for i, (item, span) in enumerate(zip(items, spans)):
             raw = RawReference(
                 source_span=span,
                 original_text=text[item.span[0]:item.span[1]],
@@ -194,11 +199,13 @@ def _extract_section_entries(result: ExtractionResult, path: Path, original_text
     section = detect_reference_section(search_text)
     if section is None:
         return
-    result.section_span = char_to_byte_span(original_text, section, encoding)
+    segments = segment_references(search_text, section)
+    result.section_span, *spans = char_to_byte_spans(original_text, [section, *segments],
+                                                     encoding)
     raws: list[tuple[RawReference, dict[str, str]]] = []
-    for i, (start, end) in enumerate(segment_references(search_text, section)):
+    for i, ((start, end), span) in enumerate(zip(segments, spans)):
         raw = RawReference(
-            source_span=char_to_byte_span(original_text, (start, end), encoding),
+            source_span=span,
             original_text=original_text[start:end],
             origin_format=origin,
             ordinal=i + 1,

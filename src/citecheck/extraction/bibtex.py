@@ -6,7 +6,7 @@ quote-delimited, bare numbers, or ``@string`` macro names (with ``#``
 concatenation). ``@comment`` and ``@preamble`` blocks are skipped.
 
 All spans are *character* offsets into the text handed in; callers that
-need byte offsets convert with :func:`char_to_byte_span`.
+need byte offsets convert with :func:`char_to_byte_spans`.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 _ENTRY_START_RE = re.compile(r"@\s*([A-Za-z]+)\s*([{(])")
 _IDENT_RE = re.compile(r"[^\s,={}()\"#]+")
+_NUMBER_RE = re.compile(r"\d+")
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,20 @@ class BibFile:
     strings: dict[str, str] = field(default_factory=dict)
 
 
-def char_to_byte_span(text: str, span: tuple[int, int], encoding: str = "utf-8") -> tuple[int, int]:
-    start, end = span
-    head = len(text[:start].encode(encoding))
-    return head, head + len(text[start:end].encode(encoding))
+def char_to_byte_spans(text: str, spans: list[tuple[int, int]],
+                       encoding: str = "utf-8") -> list[tuple[int, int]]:
+    """Byte spans of the encoded text for character spans of `text`.
+
+    One forward pass: each stretch between consecutive span boundaries is
+    encoded once, so converting every entry of a file stays linear in it.
+    """
+    offsets: dict[int, int] = {}
+    char = byte = 0
+    for pos in sorted({pos for span in spans for pos in span}):
+        byte += len(text[char:pos].encode(encoding))
+        char = pos
+        offsets[pos] = byte
+    return [(offsets[start], offsets[end]) for start, end in spans]
 
 
 class _Scanner:
@@ -201,10 +212,9 @@ def _read_value(sc: _Scanner, strings: dict[str, str]) -> tuple[str, str, tuple[
             parts.append(_read_braced(sc))
         elif ch == '"':
             parts.append(_read_quoted(sc))
-        elif ch.isdigit():
-            m = re.match(r"\d+", sc.text[sc.pos:])
+        elif m := _NUMBER_RE.match(sc.text, sc.pos):
             parts.append(m.group(0))
-            sc.pos += m.end()
+            sc.pos = m.end()
         else:
             m = _IDENT_RE.match(sc.text, sc.pos)
             if not m:

@@ -18,7 +18,8 @@ from .extraction import ExtractionResult, extract_references
 from .matching import DEFAULT_WORKERS, EntryVerdict, verify_entries
 from .policy import PRESETS, PolicyDecision, evaluate_policy, summarize_batch
 from .rewrite import (ApplyResult, RewritePlan, analyze_key_mapping, apply_rewrite,
-                      plan_rewrite)
+                      plan_rewrite, render_bibliography)
+from .rewrite.engine import eligible_pairs
 from .rewrite.models import PLAN_MODES, RENDER_FORMATS, WRITE_MODES
 from .sources import SourceConfig, config_from_env, make_transport, summarize_health
 from .sources.config import TRANSPORT_MODES
@@ -144,13 +145,9 @@ def render_output(result: "RepairRun", fmt: str) -> str:
         return report_json(result.report)
     if result.plan is not None:
         return result.plan.rendered[fmt]
-    from .rewrite import render_bibliography, replacement_eligible
-
     allow = (result.decision.preset.allow_replacement_with_needs_review
              if result.decision is not None else False)
-    pairs = [(v.entry, v.chosen if replacement_eligible(v, allow) else None)
-             for v in result.verdicts]
-    return render_bibliography(pairs, fmt)
+    return render_bibliography(eligible_pairs(result.verdicts, allow), fmt)
 
 
 def scan_report_dict(report: ScanReport) -> dict:

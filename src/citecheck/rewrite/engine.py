@@ -12,14 +12,15 @@ from __future__ import annotations
 import difflib
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from .. import textnorm
 from ..errors import AlignmentMismatch, BlockedByPolicy, StaleFile, WriteDenied
-from ..extraction import ExtractionResult, read_text_exact
-from ..extraction.bibtex import BibEntry, char_to_byte_span, parse_bibtex
+from ..extraction import ExtractionResult, decode_exact, read_text_exact
+from ..extraction.bibtex import BibEntry, char_to_byte_spans, parse_bibtex
 from ..extraction.latex import find_cited_keys
-from ..extraction.models import ReferenceInput
+from ..extraction.models import RawReference, ReferenceInput
 from ..extraction.text import entry_marker
 from ..matching import BLOCKING_ISSUES, EntryVerdict
 from ..policy import PolicyDecision
@@ -27,7 +28,7 @@ from ..sources import CandidateRecord
 from ..workspace import sidecar_path
 from .keys import assign_citation_keys
 from .models import ApplyResult, KeyMapping, Patch, RewritePlan
-from .render import (MergedEntry, merge_entry, patch_text_entry, render_bibliography)
+from .render import RENDERERS, MergedEntry, bibtex_authors, merge_pairs, patch_text_entry
 
 
 def file_digest(data: bytes) -> str:
@@ -81,11 +82,8 @@ def analyze_key_mapping(extraction: ExtractionResult, workspace_root: str | Path
 
 
 def _patched_paths(extraction: ExtractionResult) -> list[str]:
-    paths: list[str] = []
-    for entry in extraction.entries:
-        if entry.raw.source_path and entry.raw.source_path not in paths:
-            paths.append(entry.raw.source_path)
-    return paths
+    return list(dict.fromkeys(entry.raw.source_path for entry in extraction.entries
+                              if entry.raw.source_path))
 
 
 # --------------------------------------------------------------------------
@@ -125,8 +123,7 @@ def _bibtex_field_diffs(entry: ReferenceInput, chosen: CandidateRecord) -> list[
     if chosen.title and not _norm_eq(entry.title, chosen.title):
         diffs.append(("title", chosen.title))
     if chosen.authors and not _author_eq(entry.authors, chosen.authors):
-        rendered = " and ".join(f"{f}, {g}" if g else f for f, g in chosen.authors)
-        diffs.append(("author", rendered))
+        diffs.append(("author", bibtex_authors(chosen.authors)))
     if chosen.year is not None and entry.year != chosen.year:
         diffs.append(("year", str(chosen.year)))
     if chosen.venue and not _norm_eq(entry.venue, chosen.venue):
@@ -137,87 +134,92 @@ def _bibtex_field_diffs(entry: ReferenceInput, chosen: CandidateRecord) -> list[
     return diffs
 
 
-class _BibIndex:
-    """Parsed view of each .bib file a plan touches, keyed by byte span."""
-
-    def __init__(self):
-        self._files: dict[str, tuple[str, str, dict[tuple[int, int], BibEntry]]] = {}
-
-    def lookup(self, path: str, span: tuple[int, int]) -> tuple[str, str, BibEntry] | None:
-        if path not in self._files:
-            text, encoding = read_text_exact(Path(path))
-            parsed = parse_bibtex(text)
-            by_span = {char_to_byte_span(text, e.span, encoding): e for e in parsed.entries}
-            self._files[path] = (text, encoding, by_span)
-        text, encoding, by_span = self._files[path]
-        entry = by_span.get(span)
-        if entry is None:
-            return None
-        return text, encoding, entry
+def _unmoved_codec(raw: RawReference, files: dict[str, tuple[bytes, str]]) -> str | None:
+    """The codec of the entry's file if its planned bytes still hold the
+    extracted text at the extracted span; None if not, as a patch there
+    would land on whatever moved in."""
+    data, encoding = files.get(raw.source_path, (b"", "utf-8"))
+    start, end = raw.source_span
+    try:
+        expected = raw.original_text.encode(encoding)
+    except UnicodeEncodeError:  # the file no longer decodes as it did at extraction
+        return None
+    return encoding if data[start:end] == expected else None
 
 
-def _plan_bibtex_patches(entry: ReferenceInput, chosen: CandidateRecord,
-                         index: _BibIndex) -> list[Patch]:
-    located = index.lookup(entry.raw.source_path, entry.raw.source_span)
-    if located is None:
+def _locate_bib_entry(raw: RawReference,
+                      files: dict[str, tuple[bytes, str]]) -> BibEntry | None:
+    """The entry parsed alone, key and field value spans shifted to byte
+    offsets into the planned bytes of its file (@string macros change values,
+    not spans). None when those bytes no longer hold the extracted text.
+    """
+    encoding = _unmoved_codec(raw, files)
+    if encoding is None:
+        return None
+    start = raw.source_span[0]
+    entry = parse_bibtex(raw.original_text).entries[0]
+    spans = char_to_byte_spans(raw.original_text,
+                               [entry.key_span] + [f.value_span for f in entry.fields],
+                               encoding)
+    key_span, *value_spans = [(start + s, start + e) for s, e in spans]
+    return replace(entry, key_span=key_span, fields=tuple(
+        replace(f, value_span=span) for f, span in zip(entry.fields, value_spans)))
+
+
+def _plan_bibtex_patches(entry: ReferenceInput, chosen: CandidateRecord | None,
+                         new_key: str | None,
+                         files: dict[str, tuple[bytes, str]]) -> list[Patch]:
+    """Field updates toward `chosen` and a rename to `new_key`, either optional."""
+    diffs = _bibtex_field_diffs(entry, chosen) if chosen is not None else []
+    if not diffs and new_key is None:
         return []
-    text, encoding, bib_entry = located
-    diffs = _bibtex_field_diffs(entry, chosen)
-    if not diffs:
+    bib_entry = _locate_bib_entry(entry.raw, files)
+    if bib_entry is None:
         return []
-    patches: list[Patch] = []
-    additions: list[tuple[str, str]] = []
+    edits: list[tuple[tuple[int, int], str, str]] = []  # (span, text, kind)
+    additions: list[str] = []
     for name, value in diffs:
         bib_field = bib_entry.get_field(name)
         if bib_field is not None:
-            span = char_to_byte_span(text, bib_field.value_span, encoding)
-            patches.append(Patch(
-                target_path=entry.raw.source_path, span=span,
-                replacement_text="{%s}" % value,
-                entry_ordinal=entry.ordinal, kind="field_update",
-            ))
+            edits.append((bib_field.value_span, "{%s}" % value, "field_update"))
         else:
-            additions.append((name, value))
+            additions.append(",\n  %s = {%s}" % (name, value))
     if additions:
         if bib_entry.fields:
             anchor = bib_entry.fields[-1].value_span[1]
         else:
             anchor = bib_entry.key_span[1]
-        insert_at = char_to_byte_span(text, (anchor, anchor), encoding)
-        added = "".join(",\n  %s = {%s}" % (name, value) for name, value in additions)
-        patches.append(Patch(
-            target_path=entry.raw.source_path, span=insert_at,
-            replacement_text=added,
-            entry_ordinal=entry.ordinal, kind="field_update",
-        ))
-    return patches
+        edits.append(((anchor, anchor), "".join(additions), "field_update"))
+    if new_key is not None:
+        edits.append((bib_entry.key_span, new_key, "key_rename"))
+    return [Patch(target_path=entry.raw.source_path, span=span, replacement_text=text,
+                  entry_ordinal=entry.ordinal, kind=kind) for span, text, kind in edits]
 
 
-def _plan_text_patch(entry: ReferenceInput, chosen: CandidateRecord,
-                     key: str) -> Patch | None:
+def _plan_text_patches(entry: ReferenceInput, merged: MergedEntry,
+                       files: dict[str, tuple[bytes, str]]) -> list[Patch]:
     if entry.raw.origin_format == "docx":
-        return None  # review-only format, no write-back path
-    merged = merge_entry(entry, chosen, key)
-    if _text_entry_current(entry, merged):
-        return None
+        return []  # review-only format, no write-back path
+    if _text_entry_current(entry, merged) or _unmoved_codec(entry.raw, files) is None:
+        return []
     body = patch_text_entry(merged)
     original = entry.raw.original_text
     if entry.raw.origin_format == "tex" and original.lstrip().startswith("\\bibitem"):
         head_len = len(original) - len(original.lstrip())
         brace_end = original.find("}", head_len)
         if brace_end == -1:
-            return None
+            return []
         replacement = original[: brace_end + 1] + "\n" + body + "\n"
     else:
         marker = entry_marker(original) or ""
         replacement = f"{marker}{body}"
-    return Patch(
+    return [Patch(
         target_path=entry.raw.source_path,
         span=entry.raw.source_span,
         replacement_text=replacement,
         entry_ordinal=entry.ordinal,
         kind="entry_replace",
-    )
+    )]
 
 
 def _text_entry_current(entry: ReferenceInput, merged: MergedEntry) -> bool:
@@ -225,6 +227,13 @@ def _text_entry_current(entry: ReferenceInput, merged: MergedEntry) -> bool:
             and entry.year == merged.year
             and entry.doi == merged.doi
             and _norm_eq(entry.venue, merged.venue))
+
+
+def eligible_pairs(verdicts: list[EntryVerdict], allow_needs_review: bool
+                   ) -> list[tuple[ReferenceInput, CandidateRecord | None]]:
+    """(entry, chosen record) per verdict; the record only where replacement is eligible."""
+    return [(v.entry, v.chosen if replacement_eligible(v, allow_needs_review) else None)
+            for v in verdicts]
 
 
 def plan_rewrite(artifact_path: str | Path, extraction: ExtractionResult,
@@ -248,11 +257,9 @@ def plan_rewrite(artifact_path: str | Path, extraction: ExtractionResult,
     if key_mapping is None:
         key_mapping = analyze_key_mapping(extraction, workspace_root, regenerate_keys)
 
-    allow_needs_review = policy.preset.allow_replacement_with_needs_review
-    pairs = [(v.entry, v.chosen if replacement_eligible(v, allow_needs_review) else None)
-             for v in verdicts]
-    rendered = {fmt: render_bibliography(pairs, fmt)
-                for fmt in ("json", "bibtex", "text", "markdown", "endnote")}
+    pairs = eligible_pairs(verdicts, policy.preset.allow_replacement_with_needs_review)
+    merged = merge_pairs(pairs)
+    rendered = {fmt: render(merged) for fmt, render in RENDERERS.items()}
 
     safety = {
         "duplicate_keys": sum(1 for f in extraction.lint if f.code == "duplicate_key"),
@@ -262,54 +269,24 @@ def plan_rewrite(artifact_path: str | Path, extraction: ExtractionResult,
             if any(i.code == "manifestation_conflict" for i in v.issues)),
     }
 
-    digest_paths = [str(Path(artifact_path))]
-    for path in _patched_paths(extraction):
-        if path not in digest_paths:
-            digest_paths.append(path)
-    digests: list[tuple[str, str]] = []
-    encodings: list[tuple[str, str]] = []
-    for path in digest_paths:
-        p = Path(path)
-        if p.is_file():
-            digests.append((path, file_digest(p.read_bytes())))
-            try:
-                _, encoding = read_text_exact(p)
-            except Exception:
-                encoding = "utf-8"
-            encodings.append((path, encoding))
+    # path -> (bytes, codec): read once, hashed, and planned over.
+    files: dict[str, tuple[bytes, str]] = {}
+    for path in dict.fromkeys([str(Path(artifact_path)), *_patched_paths(extraction)]):
+        if Path(path).is_file():
+            data = Path(path).read_bytes()
+            files[path] = (data, decode_exact(data)[1])
 
     blocked = mode == "replacement" and not policy.replacement_allowed
     patches: list[Patch] = []
     if mode == "replacement" and not blocked:
-        index = _BibIndex()
-        keys = assign_citation_keys([v.entry for v in verdicts])
-        for verdict in verdicts:
-            if not replacement_eligible(verdict, allow_needs_review):
-                continue
-            entry, chosen = verdict.entry, verdict.chosen
-            assert chosen is not None
+        renames = (dict(key_mapping.mapping)
+                   if regenerate_keys and not key_mapping.unsafe else {})
+        for (entry, chosen), merged_entry in zip(pairs, merged):
             if entry.raw.origin_format == "bibtex":
-                patches.extend(_plan_bibtex_patches(entry, chosen, index))
-            else:
-                patch = _plan_text_patch(entry, chosen,
-                                         entry.citation_key or keys[entry.ordinal])
-                if patch is not None:
-                    patches.append(patch)
-        if regenerate_keys and key_mapping.mapping and not key_mapping.unsafe:
-            rename_map = dict(key_mapping.mapping)
-            for entry in extraction.entries:
-                if entry.citation_key in rename_map:
-                    located = index.lookup(entry.raw.source_path, entry.raw.source_span)
-                    if located is None:
-                        continue
-                    text, encoding, bib_entry = located
-                    patches.append(Patch(
-                        target_path=entry.raw.source_path,
-                        span=char_to_byte_span(text, bib_entry.key_span, encoding),
-                        replacement_text=rename_map[entry.citation_key],
-                        entry_ordinal=entry.ordinal,
-                        kind="key_rename",
-                    ))
+                patches += _plan_bibtex_patches(entry, chosen,
+                                                renames.get(entry.citation_key), files)
+            elif chosen is not None:
+                patches += _plan_text_patches(entry, merged_entry, files)
 
     patches.sort(key=lambda p: (p.target_path, p.span[0], p.span[1]))
     plan_digest = file_digest(json.dumps(
@@ -321,8 +298,8 @@ def plan_rewrite(artifact_path: str | Path, extraction: ExtractionResult,
         key_mapping=key_mapping,
         rendered=rendered,
         safety=safety,
-        content_digests=tuple(digests),
-        encodings=tuple(encodings),
+        content_digests=tuple((path, file_digest(data)) for path, (data, _) in files.items()),
+        encodings=tuple((path, encoding) for path, (_, encoding) in files.items()),
         blocked=blocked,
         plan_digest=plan_digest,
     )
@@ -333,11 +310,11 @@ def plan_rewrite(artifact_path: str | Path, extraction: ExtractionResult,
 # --------------------------------------------------------------------------
 
 def _apply_patches(original: bytes, patches: list[Patch], encoding: str) -> bytes:
-    data = original
-    for patch in sorted(patches, key=lambda p: p.span[0], reverse=True):
-        start, end = patch.span
-        data = data[:start] + patch.replacement_text.encode(encoding) + data[end:]
-    return data
+    parts, pos = [], 0
+    for patch in sorted(patches, key=lambda p: p.span):
+        parts += (original[pos:patch.span[0]], patch.replacement_text.encode(encoding))
+        pos = patch.span[1]
+    return b"".join(parts + [original[pos:]])
 
 
 def _unified_diff(path: str, original: bytes, patched: bytes, encoding: str) -> str:
@@ -363,11 +340,14 @@ def apply_rewrite(plan: RewritePlan, write_mode: str) -> ApplyResult:
         raise BlockedByPolicy(
             f"replacement plan is blocked by policy ({details or 'policy gate'})")
 
-    digests = dict(plan.content_digests)
-    for path, expected in digests.items():
+    # The bytes checked against the plan are the bytes patched.
+    originals: dict[str, bytes] = {}
+    for path, expected in plan.content_digests:
         p = Path(path)
-        if not p.is_file() or file_digest(p.read_bytes()) != expected:
+        data = p.read_bytes() if p.is_file() else None
+        if data is None or file_digest(data) != expected:
             raise StaleFile(f"{path} changed since the plan was computed")
+        originals[path] = data
 
     by_target: dict[str, list[Patch]] = {}
     for patch in plan.patches:
@@ -379,7 +359,9 @@ def apply_rewrite(plan: RewritePlan, write_mode: str) -> ApplyResult:
     applied = False
     for target in sorted(by_target):
         encoding = encodings.get(target, "utf-8")
-        original = Path(target).read_bytes()
+        if target not in originals:
+            raise StaleFile(f"{target} was not read when the plan was computed")
+        original = originals[target]
         patched = _apply_patches(original, by_target[target], encoding)
         diffs.append(_unified_diff(target, original, patched, encoding))
         if write_mode == "preview":

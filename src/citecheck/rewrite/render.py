@@ -102,23 +102,13 @@ def render_bibliography(pairs: list[tuple[ReferenceInput, CandidateRecord | None
     """Render the (possibly corrected) bibliography in one output format."""
     if fmt not in RENDER_FORMATS:
         raise UnsupportedFormat(f"unknown output format: {fmt}")
-    merged = merge_pairs(pairs)
-    if fmt == "json":
-        return _render_json(merged)
-    if fmt == "bibtex":
-        return _render_bibtex(merged)
-    if fmt == "text":
-        return _render_text(merged)
-    if fmt == "markdown":
-        return _render_markdown(merged)
-    return _render_endnote(merged)
+    return RENDERERS[fmt](merge_pairs(pairs))
 
 
-def _author_bibtex(authors: tuple[tuple[str, str], ...]) -> str:
-    parts = []
-    for family, given in authors:
-        parts.append(f"{family}, {given}" if given else family)
-    return " and ".join(parts)
+def bibtex_authors(authors: tuple[tuple[str, str], ...]) -> str:
+    """BibTeX author list: "Family, Given and Family"."""
+    return " and ".join(f"{family}, {given}" if given else family
+                        for family, given in authors)
 
 
 def _author_display(authors: tuple[tuple[str, str], ...]) -> str:
@@ -133,7 +123,7 @@ def render_bibtex_entry(m: MergedEntry) -> str:
     entry_type = _BIBTEX_TYPE.get(m.kind, "misc")
     fields: list[tuple[str, str]] = []
     if m.authors:
-        fields.append(("author", _author_bibtex(m.authors)))
+        fields.append(("author", bibtex_authors(m.authors)))
     if m.title:
         fields.append(("title", m.title))
     if m.venue:
@@ -200,7 +190,7 @@ def patch_text_entry(m: MergedEntry) -> str:
     "Family, G. (Year)." so extract -> patch -> extract is a fixed point.
     """
     parts = []
-    authors = " and ".join(f"{f}, {g}" if g else f for f, g in m.authors)
+    authors = bibtex_authors(m.authors)
     if authors and m.year is not None:
         parts.append(f"{authors} ({m.year}).")
     elif authors:
@@ -284,3 +274,13 @@ def _render_json(merged: list[MergedEntry]) -> str:
             "verified": m.verified,
         })
     return json.dumps(records, indent=2, ensure_ascii=False)
+
+
+# One renderer per output format, in RENDER_FORMATS order.
+RENDERERS = {
+    "json": _render_json,
+    "bibtex": _render_bibtex,
+    "text": _render_text,
+    "markdown": _render_markdown,
+    "endnote": _render_endnote,
+}

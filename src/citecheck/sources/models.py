@@ -61,6 +61,21 @@ class CandidateRecord:
             raise ValueError("source_id must be non-empty")
         if self.manifestation_kind not in MANIFESTATION_KINDS:
             raise ValueError(f"unknown manifestation kind: {self.manifestation_kind}")
+        # Parsers build records from remote payloads; a wrong type here would
+        # crash matching later instead of failing this one response.
+        if not isinstance(self.title, str):
+            raise ValueError(f"title must be a string, got {self.title!r}")
+        if not all(isinstance(author, tuple) and len(author) == 2
+                   and all(isinstance(part, str) for part in author)
+                   for author in self.authors):
+            raise ValueError(f"authors must be (family, given) strings, got {self.authors!r}")
+        if self.year is not None and (isinstance(self.year, bool)
+                                      or not isinstance(self.year, int)):
+            raise ValueError(f"year must be an integer, got {self.year!r}")
+        for name in ("source_id", "venue", "doi", "pmid", "arxiv_id"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
 
     def identifier_map(self) -> dict[str, str]:
         ids: dict[str, str] = {}

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from citecheck.extraction.bibtex import char_to_byte_span, parse_bibtex
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from citecheck.extraction.bibtex import char_to_byte_spans, parse_bibtex
 
 
 def test_minimal_entry():
@@ -42,6 +45,12 @@ def test_string_concatenation():
     assert result.entries[0].field_map()["journal"] == "Nature Methods"
 
 
+def test_non_decimal_digit_value_is_a_macro_name():
+    # "²" is str.isdigit() but not a decimal digit.
+    entry = parse_bibtex("@misc{k, year = ², title={T}}").entries[0]
+    assert entry.field_map() == {"year": "²", "title": "T"}
+
+
 def test_quoted_and_numeric_values():
     text = '@article{k, title = "Quoted {Braces} inside", year = 1999}'
     entry = parse_bibtex(text).entries[0]
@@ -70,11 +79,12 @@ def test_spans_reproduce_source_exactly():
 
 
 def test_char_to_byte_span_with_multibyte_text():
-    text = "@article{k, author = {Müller, J.}, title={T}}"
+    text = "@article{k, author = {Müller, J.}, title={Ŧ}}"
     entry = parse_bibtex(text).entries[0]
-    byte_span = char_to_byte_span(text, entry.span)
+    spans = [entry.span, entry.key_span] + [f.value_span for f in entry.fields]
     raw = text.encode("utf-8")
-    assert raw[byte_span[0]:byte_span[1]].decode("utf-8") == text[entry.span[0]:entry.span[1]]
+    for (start, end), (byte_start, byte_end) in zip(spans, char_to_byte_spans(text, spans)):
+        assert raw[byte_start:byte_end].decode("utf-8") == text[start:end]
 
 
 def test_case_insensitive_types_and_fields():
@@ -98,3 +108,60 @@ def test_duplicate_field_first_occurrence_wins():
 def test_trailing_comma_tolerated():
     entry = parse_bibtex("@misc{k, title={T},}").entries[0]
     assert entry.field_map() == {"title": "T"}
+
+
+# ---------------------------------------------------------------------------
+# An entry parsed alone has the spans of the whole-file parse, shifted
+# ---------------------------------------------------------------------------
+
+_TEXT = st.text(st.characters(codec="utf-8", exclude_characters='{}"\\@'), max_size=8)
+_NAME = st.text(st.characters(codec="utf-8", exclude_categories=("Z", "C"),
+                              exclude_characters='@,={}()"#\\'), min_size=1, max_size=5)
+_VALUE_PART = st.one_of(
+    _TEXT.map(lambda t: "{%s}" % t),
+    _TEXT.map(lambda t: "{a {%s} \\} b}" % t),
+    _TEXT.map(lambda t: '"%s"' % t),
+    st.integers(0, 2100).map(str),
+    _NAME,  # an @string macro, defined or not
+)
+_VALUE = st.lists(_VALUE_PART, min_size=1, max_size=3).map(" # ".join)
+_FIELD = st.tuples(_NAME, _VALUE).map(lambda f: f"{f[0]} = {f[1]}")
+_ENTRY = st.builds(
+    lambda kind, delims, key, fields, sep, tail: (
+        f"@{kind}{delims[0]}{key},{sep}" + f",{sep}".join(fields) + tail + delims[1]),
+    st.sampled_from(["article", "misc", "InProceedings"]),
+    st.sampled_from(["{}", "()"]),
+    _NAME,
+    st.lists(_FIELD, max_size=4),
+    st.sampled_from(["", " ", "\n  "]),
+    st.sampled_from(["", ",", "\n"]),
+)
+_STRING = st.tuples(_NAME, _VALUE).map(lambda m: "@string{%s = %s}" % m)
+_NOISE = st.text(st.sampled_from(list('@{}(),="#% \n\\az09') + ["é", "€", "😀"]),
+                 max_size=30)
+_BIB_TEXT = st.lists(st.one_of(_ENTRY, _ENTRY, _STRING, _NOISE), max_size=6).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_BIB_TEXT)
+@example('@string{j = {Jour}}\n@article{k, journal = j # " X", year = 2020}')
+@example("@misc{k, note = {@misc{inner, a = {b}}}, title = {€}}")
+def test_entry_parsed_alone_has_shifted_spans(text):
+    raw = text.encode("utf-8")
+    entries = parse_bibtex(text).entries
+    entry_bytes = char_to_byte_spans(text, [e.span for e in entries])
+    for entry, (byte_start, byte_end) in zip(entries, entry_bytes):
+        start, end = entry.span
+        alone = parse_bibtex(text[start:end]).entries
+        assert len(alone) == 1
+        local = alone[0]
+        assert local.key == entry.key
+        assert [f.name for f in local.fields] == [f.name for f in entry.fields]
+        spans = [entry.key_span] + [f.value_span for f in entry.fields]
+        local_spans = [local.key_span] + [f.value_span for f in local.fields]
+        assert [(s + start, e + start) for s, e in local_spans] == spans
+        # The same holds in bytes, which is how rewrite planning uses it.
+        assert raw[byte_start:byte_end] == text[start:end].encode("utf-8")
+        local_bytes = char_to_byte_spans(text[start:end], local_spans)
+        assert ([(s + byte_start, e + byte_start) for s, e in local_bytes]
+                == char_to_byte_spans(text, spans))

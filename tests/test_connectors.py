@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import corpus
 from citecheck.errors import FixtureMissing
+from citecheck.matching import score_match
 from citecheck.sources import (SOURCE_CAPABILITIES, SOURCES, FixtureStore, LiveTransport,
                                Query, RecordTransport, ReplayTransport, SourceConfig,
                                Transport, classify_failure, query_source, request_key,
@@ -21,6 +22,7 @@ from citecheck.sources.connectors import (arxiv_request, crossref_request,
                                           parse_pubmed_esummary, parse_s2_body)
 from citecheck.sources.models import CandidateRecord, QueryOutcome, make_failure
 from citecheck.sources.transport import HttpRequest, RawResponse
+from test_matching import make_entry
 
 
 CONFIG = corpus.CONFIG
@@ -370,6 +372,7 @@ _ARXIV_BODIES = st.text() | st.lists(
                         f"</published><arxiv:doi>{d}</arxiv:doi></entry>"
                         for i, t, p, d in entries) + "</feed>")
 _ALL_ENABLED = SourceConfig(enabled_sources=SOURCES)
+_CITED = make_entry(doi="10.1/x", pmid="1", arxiv="1234.5678")
 
 
 def _supported(*sources: str) -> list[tuple[str, str]]:
@@ -394,6 +397,8 @@ def _assert_outcome(source: str, kind: str, bodies: list[bytes]) -> None:
                            _BodiesTransport(bodies), _ALL_ENABLED)
     assert isinstance(outcome, QueryOutcome)
     assert outcome.ok or outcome.failure.failure in ("payload_shape", "not_found")
+    for record in outcome.records or ():
+        score_match(_CITED, record)  # matching takes whatever a parser returns
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -402,6 +407,10 @@ def _assert_outcome(source: str, kind: str, bodies: list[bytes]) -> None:
 @example(("crossref", "title_search"), [b'{"message":{"items":[1]}}'] * 2)
 @example(("crossref", "title_search"),
          [b'{"message":{"items":[{"DOI":5,"title":["x"]}]}}'] * 2)
+@example(("crossref", "title_search"),
+         [b'{"message":{"items":[{"title":["x"],"author":[{"family":5}]}]}}'] * 2)
+@example(("semantic_scholar", "title_search"),
+         [b'{"data":[{"paperId":"p","title":"x","year":"2020"}]}'] * 2)
 def test_query_source_survives_any_json_body(source_kind, bodies):
     _assert_outcome(*source_kind, bodies)
 

@@ -222,6 +222,76 @@ def test_patch_soundness_and_non_interference(corpus_paths, tmp_path):
                 entry.ordinal].raw.original_text
 
 
+def test_bib_edited_after_extraction_patches_only_unmoved_entries(corpus_paths, tmp_path):
+    """Planning works from the file as it is now: an entry whose extracted
+    text is no longer at its extracted span gets no patch, and the other
+    patches still land on their own entries."""
+    import shutil
+    workspace = tmp_path / "edited"
+    shutil.copytree(corpus_paths["biomed"], workspace)
+    bib = workspace / "biomed.bib"
+    extraction, verdicts, decision, _ = _run_pipeline(workspace, "biomed.bib", corpus_paths)
+    # Entries 4 and 5 move; entry 2 keeps its span but not its text.
+    edited = (bib.read_text()
+              .replace("@article{oliveira2021p4", "% added later\n@article{oliveira2021p4")
+              .replace("Single cell atlas", "Single-cell atlas"))
+    bib.write_text(edited)
+    before = extract_references(bib).entries
+    plan = plan_rewrite(bib, extraction, verdicts, "replacement", decision,
+                        workspace_root=workspace)
+    assert {p.entry_ordinal for p in plan.patches} == {1, 3}
+
+    apply_rewrite(plan, "replace")
+    after = extract_references(bib).entries
+    for verdict, old, new in zip(verdicts, before, after):
+        if new.ordinal in (1, 3):
+            assert new.doi == verdict.chosen.doi
+        else:
+            assert new.raw.original_text == old.raw.original_text
+
+
+def test_bib_no_longer_utf8_at_planning_is_not_patched_blindly(corpus_paths, tmp_path):
+    """A stray byte added after extraction makes the file decode as latin-1;
+    an entry whose text has no latin-1 form gets no patch, the rest do."""
+    import shutil
+    workspace = tmp_path / "recoded"
+    shutil.copytree(corpus_paths["biomed"], workspace)
+    bib = workspace / "biomed.bib"
+    bib.write_text(bib.read_text().replace(
+        "  pmid = {31000101}\n}", "  pmid = {31000101},\n  keywords = {Łódź}\n}", 1),
+        encoding="utf-8")
+    extraction, verdicts, decision, _ = _run_pipeline(workspace, "biomed.bib", corpus_paths)
+    bib.write_bytes(bib.read_bytes() + b"% \xff\n")
+    plan = plan_rewrite(bib, extraction, verdicts, "replacement", decision,
+                        workspace_root=workspace)
+    assert dict(plan.encodings)[str(bib)] == "latin-1"
+    assert {p.entry_ordinal for p in plan.patches} == {2, 3, 4, 5}
+    apply_rewrite(plan, "replace")
+    assert "keywords = {Łódź}" in bib.read_bytes().decode("utf-8", errors="replace")
+    after = extract_references(bib).entries
+    for verdict in verdicts[1:]:
+        assert after[verdict.entry.ordinal - 1].doi == verdict.chosen.doi
+
+
+def test_regenerated_keys_rename_at_key_spans(corpus_paths, tmp_path):
+    import shutil
+    workspace = tmp_path / "rekey"
+    shutil.copytree(corpus_paths["biomed"], workspace)
+    extraction, verdicts, decision, _ = _run_pipeline(workspace, "biomed.bib", corpus_paths)
+    mapping = analyze_key_mapping(extraction, workspace, regenerate_keys=True)
+    assert mapping.mapping and not mapping.unsafe
+    plan = plan_rewrite(workspace / "biomed.bib", extraction, verdicts, "replacement",
+                        decision, key_mapping=mapping, regenerate_keys=True,
+                        workspace_root=workspace)
+    assert sum(p.kind == "key_rename" for p in plan.patches) == len(mapping.mapping)
+    apply_rewrite(plan, "replace")
+    after = extract_references(workspace / "biomed.bib").entries
+    renamed = dict(mapping.mapping)
+    assert [e.citation_key for e in after] == [
+        renamed.get(e.citation_key, e.citation_key) for e in extraction.entries]
+    assert [e.doi for e in after] == [v.chosen.doi for v in verdicts]
+
+
 def test_alignment_mismatch_is_programming_error(corpus_paths):
     from citecheck.errors import AlignmentMismatch
     extraction, verdicts, decision, _ = _run_pipeline(
@@ -424,3 +494,22 @@ def test_inline_bibitem_entry_replace(corpus_paths, tmp_path):
     assert "\\end{thebibliography}" in content
     after = extract_references(workspace / "inline.tex")
     assert after.entries[0].doi == spec.doi
+
+
+def test_manuscript_edited_after_extraction_gets_no_entry_replace(corpus_paths, tmp_path):
+    """The entry_replace span comes from extraction; once an edit moves the
+    entry, planning drops the patch instead of overwriting the moved text."""
+    spec = corpus.MAIN_TXT[4]
+    workspace = tmp_path / "inline"
+    workspace.mkdir()
+    tex = ("\\begin{document}\nBody~\\cite{ok1}.\n\\begin{thebibliography}{9}\n"
+           f"\\bibitem{{ok1}} Brown, T. ({spec.year}). {spec.title}. {spec.venue}.\n"
+           "\\end{thebibliography}\n\\end{document}\n")
+    (workspace / "inline.tex").write_text(tex)
+    extraction, verdicts, decision, plan = _run_pipeline(
+        workspace, "inline.tex", corpus_paths)
+    assert [p.kind for p in plan.patches] == ["entry_replace"]
+    (workspace / "inline.tex").write_text(tex.replace("Body", "A longer body"))
+    plan = plan_rewrite(workspace / "inline.tex", extraction, verdicts, "replacement",
+                        decision, workspace_root=workspace)
+    assert plan.patches == ()

@@ -7,8 +7,10 @@ visited in document order. That is the full extent of docx support.
 from __future__ import annotations
 
 import io
+import lzma
 import xml.etree.ElementTree as ET
 import zipfile
+import zlib
 
 from ..errors import CorruptArchive, MissingDocumentPart
 
@@ -18,18 +20,23 @@ _T_TAG = f"{{{_W_NS}}}t"
 _TAB_TAG = f"{{{_W_NS}}}tab"
 _BR_TAG = f"{{{_W_NS}}}br"
 
+# What zipfile raises on damaged archives: bad headers, bad offsets
+# (ValueError, also for undecodable names), truncated or corrupt compressed
+# data (EOFError, zlib.error, lzma.LZMAError, OSError from bz2), and
+# encrypted members or unknown methods (RuntimeError, NotImplementedError).
+_UNREADABLE_ARCHIVE = (zipfile.BadZipFile, ValueError, EOFError, zlib.error, lzma.LZMAError,
+                       OSError, RuntimeError, NotImplementedError)
+
 
 def extract_docx_text(docx_bytes: bytes) -> list[str]:
     """Paragraph strings from word/document.xml, in document order."""
     try:
-        archive = zipfile.ZipFile(io.BytesIO(docx_bytes))
-    except zipfile.BadZipFile as exc:
-        raise CorruptArchive(f"not a readable .docx archive: {exc}") from exc
-    with archive:
-        try:
+        with zipfile.ZipFile(io.BytesIO(docx_bytes)) as archive:
             xml_bytes = archive.read("word/document.xml")
-        except KeyError as exc:
-            raise MissingDocumentPart("archive has no word/document.xml") from exc
+    except KeyError as exc:
+        raise MissingDocumentPart("archive has no word/document.xml") from exc
+    except _UNREADABLE_ARCHIVE as exc:
+        raise CorruptArchive(f"not a readable .docx archive: {exc}") from exc
     try:
         root = ET.fromstring(xml_bytes)
     except ET.ParseError as exc:

@@ -9,8 +9,10 @@ is no partially-safe application path.
 
 from __future__ import annotations
 
+import bisect
 import difflib
 import hashlib
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -229,6 +231,17 @@ def _text_entry_current(entry: ReferenceInput, merged: MergedEntry) -> bool:
             and _norm_eq(entry.venue, merged.venue))
 
 
+def _encodable(patches: list[Patch], files: dict[str, tuple[bytes, str]]) -> list[Patch]:
+    """An entry's patches, or none if a replacement has no form in its file's
+    codec (a latin-1 file cannot take a title with `Ł`)."""
+    try:
+        for patch in patches:
+            patch.replacement_text.encode(files[patch.target_path][1])
+    except UnicodeEncodeError:
+        return []
+    return patches
+
+
 def eligible_pairs(verdicts: list[EntryVerdict], allow_needs_review: bool
                    ) -> list[tuple[ReferenceInput, CandidateRecord | None]]:
     """(entry, chosen record) per verdict; the record only where replacement is eligible."""
@@ -283,10 +296,13 @@ def plan_rewrite(artifact_path: str | Path, extraction: ExtractionResult,
                    if regenerate_keys and not key_mapping.unsafe else {})
         for (entry, chosen), merged_entry in zip(pairs, merged):
             if entry.raw.origin_format == "bibtex":
-                patches += _plan_bibtex_patches(entry, chosen,
-                                                renames.get(entry.citation_key), files)
+                planned = _plan_bibtex_patches(entry, chosen,
+                                               renames.get(entry.citation_key), files)
             elif chosen is not None:
-                patches += _plan_text_patches(entry, merged_entry, files)
+                planned = _plan_text_patches(entry, merged_entry, files)
+            else:
+                continue
+            patches += _encodable(planned, files)
 
     patches.sort(key=lambda p: (p.target_path, p.span[0], p.span[1]))
     plan_digest = file_digest(json.dumps(
@@ -317,12 +333,105 @@ def _apply_patches(original: bytes, patches: list[Patch], encoding: str) -> byte
     return b"".join(parts + [original[pos:]])
 
 
-def _unified_diff(path: str, original: bytes, patched: bytes, encoding: str) -> str:
-    before = original.decode(encoding, errors="replace").splitlines(keepends=True)
-    after = patched.decode(encoding, errors="replace").splitlines(keepends=True)
+class _StitchedMatcher(difflib.SequenceMatcher):
+    """A matcher over opcodes built elsewhere, for `get_grouped_opcodes`."""
+
+    def __init__(self, opcodes: list[tuple[str, int, int, int, int]]):
+        super().__init__(None, (), ())
+        self._stitched = opcodes
+
+    def get_opcodes(self) -> list[tuple[str, int, int, int, int]]:
+        return list(self._stitched)  # get_grouped_opcodes edits the list it gets
+
+
+def _line_window(starts: list[int], start: int, end: int) -> tuple[int, int]:
+    """The lines holding characters start-1 through end. A patch can move the
+    line break just before or after its span (it may split or join a CRLF),
+    so those lines can change too; no line outside them can."""
+    lo = bisect.bisect_right(starts, max(start - 1, 0)) - 1
+    hi = bisect.bisect_right(starts, end) if end < starts[-1] else len(starts) - 1
+    return lo, hi
+
+
+def _add_opcode(opcodes: list[tuple[str, int, int, int, int]],
+                opcode: tuple[str, int, int, int, int]) -> None:
+    """Append, merging adjacent `equal`s as difflib would emit them."""
+    if opcode[0] == "equal" and opcodes and opcodes[-1][0] == "equal":
+        tag, i1, _, j1, _ = opcodes[-1]
+        opcodes[-1] = (tag, i1, opcode[2], j1, opcode[4])
+    else:
+        opcodes.append(opcode)
+
+
+def _hunk_range(start: int, stop: int) -> str:
+    """A unified-diff range: 1-based first line and count; an empty range
+    names the line before it."""
+    length = stop - start
+    if length == 1:
+        return str(start + 1)
+    return f"{start + 1 if length else start},{length}"
+
+
+def _unified_diff(path: str, original: bytes, patches: list[Patch], encoding: str) -> str:
+    """The file before and after its patches as a unified diff with 3 lines of
+    context. Lines are matched only in a window around each patch; between
+    windows both sides hold the same unpatched text, line for line."""
+    before_parts: list[str] = []
+    after_parts: list[str] = []
+    spans: list[tuple[int, int, int, int]] = []  # character spans, before and after
+    pos = before_len = after_len = 0
+    for patch in sorted(patches, key=lambda p: p.span):
+        kept = original[pos:patch.span[0]].decode(encoding, errors="replace")
+        removed = original[patch.span[0]:patch.span[1]].decode(encoding, errors="replace")
+        b_start, a_start = before_len + len(kept), after_len + len(kept)
+        before_len, after_len = b_start + len(removed), a_start + len(patch.replacement_text)
+        spans.append((b_start, before_len, a_start, after_len))
+        before_parts += (kept, removed)
+        after_parts += (kept, patch.replacement_text)
+        pos = patch.span[1]
+    tail = original[pos:].decode(encoding, errors="replace")
+    before = "".join(before_parts + [tail]).splitlines(keepends=True)
+    after = "".join(after_parts + [tail]).splitlines(keepends=True)
+    before_starts = list(itertools.accumulate(map(len, before), initial=0))
+    after_starts = list(itertools.accumulate(map(len, after), initial=0))
+
+    # Windows that overlap or touch are merged before any matching, so each
+    # matched window starts and ends on lines both sides share.
+    windows: list[list[int]] = []
+    for b_start, b_end, a_start, a_end in spans:
+        i1, i2 = _line_window(before_starts, b_start, b_end)
+        j1, j2 = _line_window(after_starts, a_start, a_end)
+        if windows and (i1 <= windows[-1][1] or j1 <= windows[-1][3]):
+            windows[-1][1], windows[-1][3] = i2, j2
+        else:
+            windows.append([i1, i2, j1, j2])
+
+    opcodes: list[tuple[str, int, int, int, int]] = []
+    i = j = 0
+    for i1, i2, j1, j2 in windows:
+        if i < i1:
+            _add_opcode(opcodes, ("equal", i, i1, j, j1))
+        matcher = difflib.SequenceMatcher(None, before[i1:i2], after[j1:j2], autojunk=False)
+        for tag, a1, a2, b1, b2 in matcher.get_opcodes():
+            _add_opcode(opcodes, (tag, i1 + a1, i1 + a2, j1 + b1, j1 + b2))
+        i, j = i2, j2
+    if i < len(before):
+        _add_opcode(opcodes, ("equal", i, len(before), j, len(after)))
+
     name = Path(path).name
-    diff = difflib.unified_diff(before, after, fromfile=name, tofile=f"{name} (rewritten)")
-    return "".join(diff)
+    lines: list[str] = []
+    for group in _StitchedMatcher(opcodes).get_grouped_opcodes(3):
+        if not lines:
+            lines += (f"--- {name}\n", f"+++ {name} (rewritten)\n")
+        lines.append(f"@@ -{_hunk_range(group[0][1], group[-1][2])} "
+                     f"+{_hunk_range(group[0][3], group[-1][4])} @@\n")
+        for tag, a1, a2, b1, b2 in group:
+            if tag == "equal":
+                lines += (" " + line for line in before[a1:a2])
+            else:
+                lines += ("-" + line for line in before[a1:a2])
+                lines += ("+" + line for line in after[b1:b2])
+    return "".join(lines)
 
 
 def apply_rewrite(plan: RewritePlan, write_mode: str) -> ApplyResult:
@@ -330,8 +439,10 @@ def apply_rewrite(plan: RewritePlan, write_mode: str) -> ApplyResult:
 
     Preview never writes. Sidecar writes `<stem>.citecheck.<ext>` next to
     each patched file and leaves originals untouched. Replace backs each
-    file up to `<name>.bak` first (refusing to clobber an existing backup)
-    and patches in descending span order so byte offsets stay valid.
+    file up to `<name>.bak` first; if any backup already exists it writes
+    nothing at all. Each file's patches are joined in ascending span order
+    over the bytes checked against the plan, so byte offsets stay valid.
+    `diff_text` shows the hunks around each patch with 3 lines of context.
     """
     if write_mode not in ("preview", "sidecar", "replace"):
         raise ValueError(f"unknown write mode: {write_mode}")
@@ -354,35 +465,36 @@ def apply_rewrite(plan: RewritePlan, write_mode: str) -> ApplyResult:
         by_target.setdefault(patch.target_path, []).append(patch)
 
     encodings = dict(plan.encodings)
+    patched: dict[str, bytes] = {}
     diffs: list[str] = []
-    written: list[str] = []
-    applied = False
     for target in sorted(by_target):
-        encoding = encodings.get(target, "utf-8")
         if target not in originals:
             raise StaleFile(f"{target} was not read when the plan was computed")
-        original = originals[target]
-        patched = _apply_patches(original, by_target[target], encoding)
-        diffs.append(_unified_diff(target, original, patched, encoding))
-        if write_mode == "preview":
-            continue
-        if write_mode == "sidecar":
-            out_path = sidecar_path(Path(target))
-            out_path.write_bytes(patched)
-            written.append(str(out_path))
-            applied = True
-        else:
-            backup = Path(target).with_name(Path(target).name + ".bak")
+        encoding = encodings.get(target, "utf-8")
+        patched[target] = _apply_patches(originals[target], by_target[target], encoding)
+        diffs.append(_unified_diff(target, originals[target], by_target[target], encoding))
+
+    # Every refusal comes before the first write: a plan lands whole or not at all.
+    backups = {target: Path(target).with_name(Path(target).name + ".bak")
+               for target in patched}
+    if write_mode == "replace":
+        for backup in backups.values():
             if backup.exists():
                 raise WriteDenied(f"backup already exists, refusing to overwrite: {backup}")
-            backup.write_bytes(original)
-            Path(target).write_bytes(patched)
+    written: list[str] = []
+    for target, data in patched.items():
+        if write_mode == "sidecar":
+            out_path = sidecar_path(Path(target))
+            out_path.write_bytes(data)
+            written.append(str(out_path))
+        elif write_mode == "replace":
+            backups[target].write_bytes(originals[target])
+            Path(target).write_bytes(data)
             written.append(str(Path(target)))
-            applied = True
 
     return ApplyResult(
         write_mode=write_mode,
         written_paths=tuple(written),
         diff_text="".join(diffs),
-        applied=applied,
+        applied=bool(written),
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from citecheck.errors import CitecheckError
 from citecheck.extraction.bibtex import char_to_byte_spans, parse_bibtex
 
 
@@ -165,3 +166,14 @@ def test_entry_parsed_alone_has_shifted_spans(text):
         local_bytes = char_to_byte_spans(text[start:end], local_spans)
         assert ([(s + byte_start, e + byte_start) for s, e in local_bytes]
                 == char_to_byte_spans(text, spans))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(_BIB_TEXT, _BIB_TEXT.flatmap(lambda t: st.integers(0, len(t)).map(
+    lambda n: t[:n])), st.text()))
+def test_parse_bibtex_raises_only_citecheck_errors(text):
+    try:
+        result = parse_bibtex(text)
+    except CitecheckError:
+        return
+    assert all(0 <= e.span[0] < e.span[1] <= len(text) for e in result.entries)

@@ -5,9 +5,11 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import corpus
-from citecheck.errors import MissingDocumentPart, UnsupportedFormat
+from citecheck.errors import CitecheckError, MissingDocumentPart, UnsupportedFormat
 from citecheck.extraction import (detect_reference_section, extract_docx_text,
                                   extract_references, lint_bibliography,
                                   normalize_reference, resolve_tex_bib_resources)
@@ -158,6 +160,69 @@ def test_docx_missing_document_part():
         archive.writestr("word/other.xml", "<x/>")
     with pytest.raises(MissingDocumentPart):
         extract_docx_text(buffer.getvalue())
+
+
+_DOCX = corpus.make_docx(["References", "[1] Doe, J. (2020). A title. Venue."] * 4)
+
+
+def _with_header_field(offset: int, value: int) -> bytes:
+    """The test .docx with one 16-bit field of its local header (at `offset`)
+    and of its central directory entry (2 bytes further on) set to `value`."""
+    data = bytearray(_DOCX)
+    for signature, at in ((b"PK\x03\x04", offset), (b"PK\x01\x02", offset + 2)):
+        pos = data.index(signature) + at
+        data[pos:pos + 2] = value.to_bytes(2, "little")
+    return bytes(data)
+
+
+def _flipped(changes: list[tuple[int, int]]) -> bytes:
+    damaged = bytearray(_DOCX)
+    for pos, value in changes:
+        damaged[pos] = value
+    return bytes(damaged)
+
+
+# The first member's data starts past the 30-byte local header, its name and extra field.
+_MEMBER_DATA = 30 + int.from_bytes(_DOCX[26:28], "little") + int.from_bytes(_DOCX[28:30], "little")
+_DAMAGED_DOCX = st.one_of(
+    st.binary(max_size=200),
+    st.integers(0, len(_DOCX)).map(lambda n: _DOCX[:n]),
+    st.lists(st.tuples(st.integers(0, len(_DOCX) - 1), st.integers(0, 255)),
+             min_size=1, max_size=4).map(_flipped),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_DAMAGED_DOCX)
+@example(_with_header_field(6, 1))  # encrypted member
+@example(_with_header_field(8, 99))  # unknown compression method
+@example(_flipped([(_MEMBER_DATA + 5, 0xff), (_MEMBER_DATA + 6, 0)]))  # corrupt deflate data
+def test_docx_damaged_archive_raises_only_citecheck_errors(data):
+    try:
+        paragraphs = extract_docx_text(data)
+    except CitecheckError:
+        return
+    assert all(isinstance(p, str) for p in paragraphs)
+
+
+_SECTION_LINE = st.one_of(
+    st.sampled_from(["References", "## Bibliography", "Works Cited:", "[1] ", "2. ", "",
+                     "   ", "Doe, J. (2020). A title. Venue.", "\r"]),
+    st.text(max_size=20))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(st.text(), st.lists(_SECTION_LINE, max_size=20).map("\n".join)), st.data())
+def test_section_detection_and_segmentation_raise_only_citecheck_errors(text, data):
+    try:
+        span = detect_reference_section(text)
+        if span is None:
+            start = data.draw(st.integers(0, len(text)))
+            span = (start, data.draw(st.integers(start, len(text))))
+        segments = segment_references(text, span)
+    except CitecheckError:
+        return
+    assert all(span[0] <= s < e <= span[1] for s, e in segments)
 
 
 # ---------------------------------------------------------------------------

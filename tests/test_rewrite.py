@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import difflib
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 from citecheck.errors import BlockedByPolicy, StaleFile, UnsupportedFormat, WriteDenied
@@ -14,7 +19,8 @@ from citecheck.policy import PRESETS, evaluate_policy, summarize_batch
 from citecheck.rewrite import (analyze_key_mapping, apply_rewrite, assign_citation_keys,
                                generate_citation_key, plan_rewrite, render_bibliography,
                                sidecar_path)
-from citecheck.rewrite.models import KeyMapping
+from citecheck.rewrite.engine import _apply_patches, _unified_diff, file_digest
+from citecheck.rewrite.models import KeyMapping, Patch, RewritePlan
 from citecheck.sources import FixtureStore, ReplayTransport
 from test_matching import make_candidate, make_entry
 
@@ -513,3 +519,145 @@ def test_manuscript_edited_after_extraction_gets_no_entry_replace(corpus_paths, 
     plan = plan_rewrite(workspace / "inline.tex", extraction, verdicts, "replacement",
                         decision, workspace_root=workspace)
     assert plan.patches == ()
+
+
+def test_replace_checks_every_backup_before_writing(tmp_path):
+    """A refused backup of the second target leaves the first untouched too."""
+    first, second = tmp_path / "a.bib", tmp_path / "b.bib"
+    first.write_bytes(b"@misc{a, year = {2019}}\n")
+    second.write_bytes(b"@misc{b, year = {2019}}\n")
+    (tmp_path / "b.bib.bak").write_bytes(b"precious")
+    plan = RewritePlan(
+        mode="replacement",
+        patches=tuple(Patch(str(path), (17, 21), "2020", n, "field_update")
+                      for n, path in enumerate((first, second), 1)),
+        key_mapping=KeyMapping(), rendered={}, safety={},
+        content_digests=tuple((str(p), file_digest(p.read_bytes())) for p in (first, second)),
+        encodings=((str(first), "utf-8"), (str(second), "utf-8")))
+    with pytest.raises(WriteDenied):
+        apply_rewrite(plan, "replace")
+    assert first.read_bytes() == b"@misc{a, year = {2019}}\n"
+    assert second.read_bytes() == b"@misc{b, year = {2019}}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bib", "b.bib", "b.bib.bak"]
+
+
+def test_latin1_file_gets_no_patch_its_codec_cannot_encode(corpus_paths, tmp_path):
+    """A replacement with no latin-1 form leaves its entry unpatched; the
+    other entries are patched and the sidecar is written."""
+    import shutil
+    workspace = tmp_path / "latin1"
+    shutil.copytree(corpus_paths["biomed"], workspace)
+    bib = workspace / "biomed.bib"
+    bib.write_bytes(bib.read_bytes() + b"% caf\xe9\n")
+    extraction, verdicts, decision, _ = _run_pipeline(workspace, "biomed.bib", corpus_paths)
+    chosen = verdicts[1].chosen
+    verdicts[1] = dataclasses.replace(verdicts[1], chosen=dataclasses.replace(
+        chosen, title=chosen.title + " in Łódź"))
+    plan = plan_rewrite(bib, extraction, verdicts, "replacement", decision,
+                        workspace_root=workspace)
+    assert dict(plan.encodings)[str(bib)] == "latin-1"
+    assert {p.entry_ordinal for p in plan.patches} == {1, 3, 4, 5}
+    result = apply_rewrite(plan, "sidecar")
+    after = extract_references(sidecar_path(bib)).entries
+    assert after[1].raw.original_text == extraction.entries[1].raw.original_text
+    assert result.written_paths == (str(sidecar_path(bib)),)
+    assert [e.doi for e in after[2:]] == [v.chosen.doi for v in verdicts[2:]]
+
+
+# ---------------------------------------------------------------------------
+# Preview diff
+# ---------------------------------------------------------------------------
+
+_HUNK_HEADER = re.compile(r"@@ -(\d+)(?:,(\d+))? \+\d+(?:,(\d+))? @@\n")
+_DIFF_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)?")
+
+
+def _apply_hunks(before: list[str], diff: str) -> list[str]:
+    """The lines `diff` turns `before` into. Old lines are matched by their
+    known text, since a line without a newline runs into the next one."""
+    if not diff:
+        return list(before)
+    body = diff.split("\n", 2)[2]  # past the ---/+++ lines
+    after, i, k = [], 0, 0
+    while k < len(body):
+        header = _HUNK_HEADER.match(body, k)
+        first, old_n, new_n = int(header[1]), int(header[2] or 1), int(header[3] or 1)
+        start = first - 1 if old_n else first
+        after += before[i:start]
+        i, k = start, header.end()
+        while old_n or new_n:
+            tag = body[k]
+            if tag == "+":
+                line = _DIFF_LINE.match(body, k + 1)[0]
+                after.append(line)
+                new_n -= 1
+            else:
+                line = before[i]
+                assert tag in " -" and body.startswith(line, k + 1)
+                i, old_n = i + 1, old_n - 1
+                if tag == " ":
+                    after.append(line)
+                    new_n -= 1
+            k += 1 + len(line)
+    return after + before[i:]
+
+
+@st.composite
+def _patched_text(draw, alphabet="ab}é\r\n"):
+    """(text, codec, patches): random non-overlapping patches on character
+    boundaries, empty spans and replacements, BOF and EOF included."""
+    text = draw(st.text(alphabet, max_size=60))
+    codec = draw(st.sampled_from(["utf-8", "latin-1"]))
+    cuts = sorted(draw(st.lists(st.integers(0, len(text)), max_size=8)))
+    patches = [Patch("x.bib", (len(text[:s].encode(codec)), len(text[:e].encode(codec))),
+                     draw(st.text(alphabet, max_size=6)), 1, "field_update")
+               for s, e in zip(cuts[::2], cuts[1::2])]
+    return text, codec, patches
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_patched_text())
+def test_preview_diff_hunks_rebuild_the_patched_lines(case):
+    text, codec, patches = case
+    data = text.encode(codec)
+    after = _apply_patches(data, patches, codec).decode(codec).splitlines(keepends=True)
+    before = text.splitlines(keepends=True)
+    diff = _unified_diff("dir/x.bib", data, patches, codec)
+    assert _apply_hunks(before, diff) == after
+    assert (diff == "") == (before == after)
+    if diff:
+        assert diff.startswith("--- x.bib\n+++ x.bib (rewritten)\n@@ -")
+    unchanged = [dataclasses.replace(p, replacement_text=data[p.span[0]:p.span[1]].decode(codec))
+                 for p in patches]
+    assert _unified_diff("x.bib", data, unchanged, codec) == ""
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.integers(0, 10**4), unique=True, max_size=199),
+       st.sampled_from(["\n", "\r\n", "\r"]), st.booleans(), st.data())
+def test_preview_diff_equals_difflib_on_distinct_lines(numbers, newline, final_newline, data):
+    text = "".join(f"line {n}{newline}" for n in numbers)
+    if not final_newline:
+        text = text.rstrip(newline)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=8)))
+    patches = [Patch("x.bib", (s, e), data.draw(st.text("XYZ\r\n", max_size=8)), 1,
+                     "field_update") for s, e in zip(cuts[::2], cuts[1::2])]
+    original = text.encode()
+    after = _apply_patches(original, patches, "utf-8").decode()
+    expected = "".join(difflib.unified_diff(
+        text.splitlines(keepends=True), after.splitlines(keepends=True),
+        fromfile="x.bib", tofile="x.bib (rewritten)"))
+    assert _unified_diff("x.bib", original, patches, "utf-8") == expected
+
+
+def test_preview_diff_keeps_final_closing_brace_as_context():
+    """A patch in the last entry of a long .bib shows its closing brace as
+    context, not as removed and added again."""
+    entries = "".join("@article{k%d,\n  title = {T%d},\n  year = {2019},\n  doi = {10,5/%d}\n}\n"
+                      % (n, n, n) for n in range(60))
+    original = entries.encode()
+    start = original.rindex(b"10,5/59")
+    patch = Patch("refs.bib", (start, start + 7), "10.5/59", 60, "field_update")
+    assert _unified_diff("refs.bib", original, [patch], "utf-8") == (
+        "--- refs.bib\n+++ refs.bib (rewritten)\n@@ -296,5 +296,5 @@\n"
+        " @article{k59,\n   title = {T59},\n   year = {2019},\n-  doi = {10,5/59}\n+  doi = {10.5/59}\n }\n")

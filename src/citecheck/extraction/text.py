@@ -12,8 +12,6 @@ import re
 
 from .. import textnorm
 
-_HEADER_NAMES = ("references", "bibliography", "works cited")
-
 # "References", "## References", "7. References", "2) Bibliography:" ...
 _HEADER_RE = re.compile(
     r"^(?P<hash>#{1,6}\s+)?(?P<num>\d+(?:\.\d+)*[.)]?\s+)?"
@@ -21,7 +19,6 @@ _HEADER_RE = re.compile(
     re.IGNORECASE,
 )
 
-_NUMBERED_HEADER_RE = re.compile(r"^\s*\d+(?:\.\d+)*[.)]?\s+\S")
 # A short line of capitalized words reads as a section header ("Appendix").
 _BARE_HEADER_RE = re.compile(r"^[A-Z][A-Za-z0-9 ]{0,39}$")
 

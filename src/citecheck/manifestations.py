@@ -88,8 +88,10 @@ def group_manifestations(cluster: MatchCluster, entry: ReferenceInput) -> Manife
         raise ValueError("cluster must be non-empty")
     work_members = _linked_component(cluster, cluster.best_member)
     scores = dict(cluster.member_scores)
-    for member in work_members:
-        scores.setdefault(_member_key(member), score_match(entry, member))
+    for member in work_members:  # clustering has scored them all already
+        key = _member_key(member)
+        if key not in scores:
+            scores[key] = score_match(entry, member)
     preferred = _pick_preferred(work_members, scores)
     cited = _cited_member(entry, work_members)
     conflict = (

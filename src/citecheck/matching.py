@@ -10,12 +10,17 @@ exactly (and a title that is at least plausible, >= 0.6) lifts confidence
 to at least 0.95; a shared identifier that *differs* caps it at 0.5 no
 matter how good the text looks. Verification runs up to three passes and
 only escalates while the best confidence stays below 0.6.
+
+A batch is verified pass by pass: source queries wait on the network in a
+thread pool, while normalizing and scoring run on the calling thread, and
+each (entry, record) pair is scored once.
 """
 
 from __future__ import annotations
 
 import re
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from . import textnorm
@@ -134,21 +139,42 @@ class EntryVerdict:
 # Field similarities
 # --------------------------------------------------------------------------
 
-def title_similarity(a: str | None, b: str | None) -> float:
+class _Memo(dict):
+    """fn(key), computed on first lookup and kept for the memo's lifetime."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class TextKeys:
+    """The normalized forms scoring compares, each computed once per distinct
+    string. An instance lives for one call: `verify_entries` and
+    `dedupe_and_cluster` make their own, and so does a similarity or
+    `score_match` called without one. Nothing is cached across calls."""
+
+    def __init__(self) -> None:
+        self.tokens = _Memo(textnorm.match_tokens)
+        self.venue_tokens = _Memo(lambda venue: textnorm.match_tokens(_expand_venue(venue)))
+        # (family, given) -> (family key, first initial or "")
+        self.author = _Memo(lambda author: (textnorm.family_key(author[0]),
+                                            textnorm.initials_of(author[1])[:1]))
+
+
+def title_similarity(a: str | None, b: str | None, keys: TextKeys | None = None) -> float:
     if not a or not b:
         return 0.0
-    return textnorm.token_jaccard(a, b)
-
-
-def _initials_compatible(given_a: str, given_b: str) -> bool:
-    ia, ib = textnorm.initials_of(given_a), textnorm.initials_of(given_b)
-    if not ia or not ib:
-        return True  # one side has no given name: cannot contradict
-    return ia[0] == ib[0]
+    keys = keys or TextKeys()
+    return textnorm.jaccard(keys.tokens[a], keys.tokens[b])
 
 
 def author_similarity(query_authors: tuple[tuple[str, str], ...],
-                      candidate_authors: tuple[tuple[str, str], ...]) -> float:
+                      candidate_authors: tuple[tuple[str, str], ...],
+                      keys: TextKeys | None = None) -> float:
     """Fraction of query family names found in the candidate list.
 
     A family-name hit also requires initial-compatible given names when
@@ -157,12 +183,15 @@ def author_similarity(query_authors: tuple[tuple[str, str], ...],
     """
     if not query_authors or not candidate_authors:
         return 0.5
-    cand = [(textnorm.family_key(f), g) for f, g in candidate_authors]
+    keys = keys or TextKeys()
+    cand = [keys.author[author] for author in candidate_authors]
     matched = 0
-    for family, given in query_authors:
-        key = textnorm.family_key(family)
-        for cand_key, cand_given in cand:
-            if key and key == cand_key and _initials_compatible(given, cand_given):
+    for author in query_authors:
+        key, initial = keys.author[author]
+        for cand_key, cand_initial in cand:
+            # A side without a given name cannot contradict the other.
+            if key and key == cand_key and (not initial or not cand_initial
+                                            or initial == cand_initial):
                 matched += 1
                 break
     return matched / len(query_authors)
@@ -187,13 +216,14 @@ def _expand_venue(venue: str) -> str:
     return " ".join(tokens)
 
 
-def venue_similarity(a: str | None, b: str | None) -> float:
+def venue_similarity(a: str | None, b: str | None, keys: TextKeys | None = None) -> float:
     """Token Jaccard after abbreviation expansion; vacuous agreement is 1.0."""
     if not a and not b:
         return 1.0
     if not a or not b:
         return 0.5
-    return textnorm.token_jaccard(_expand_venue(a), _expand_venue(b))
+    keys = keys or TextKeys()
+    return textnorm.jaccard(keys.venue_tokens[a], keys.venue_tokens[b])
 
 
 def identifier_signal(entry_ids: dict[str, str], candidate_ids: dict[str, str]) -> str:
@@ -210,11 +240,13 @@ def identifier_signal(entry_ids: dict[str, str], candidate_ids: dict[str, str]) 
     return "exact"
 
 
-def score_match(entry: ReferenceInput, candidate: CandidateRecord) -> MatchScore:
-    t_sim = title_similarity(entry.title, candidate.title)
-    a_sim = author_similarity(entry.authors, candidate.authors)
+def score_match(entry: ReferenceInput, candidate: CandidateRecord,
+                keys: TextKeys | None = None) -> MatchScore:
+    keys = keys or TextKeys()
+    t_sim = title_similarity(entry.title, candidate.title, keys)
+    a_sim = author_similarity(entry.authors, candidate.authors, keys)
     y_sig = year_signal(entry.year, candidate.year)
-    v_sim = venue_similarity(entry.venue, candidate.venue)
+    v_sim = venue_similarity(entry.venue, candidate.venue, keys)
     id_sig = identifier_signal(entry.identifier_map(), candidate.identifier_map())
 
     weighted = 0.5 * t_sim + 0.2 * a_sim + 0.15 * _YEAR_TERM[y_sig] + 0.15 * v_sim
@@ -312,12 +344,12 @@ def _dedupe(candidates: list[CandidateRecord]) -> list[CandidateRecord]:
     return out
 
 
-def cluster_join(a: CandidateRecord, b: CandidateRecord) -> bool:
+def cluster_join(a: CandidateRecord, b: CandidateRecord, keys: TextKeys | None = None) -> bool:
     """Pairwise join predicate: shared identifier (direct or asserted), or
     near-identical titles with compatible years."""
     if a.all_identifiers() & b.all_identifiers():
         return True
-    if title_similarity(a.title, b.title) >= CLUSTER_TITLE_THRESHOLD:
+    if title_similarity(a.title, b.title, keys) >= CLUSTER_TITLE_THRESHOLD:
         if a.year is None or b.year is None or abs(a.year - b.year) <= 1:
             return True
     return False
@@ -335,14 +367,16 @@ def _cluster_key(members: list[CandidateRecord]) -> str:
                for r in members)
 
 
-def dedupe_and_cluster(candidates: list[CandidateRecord],
-                       entry: ReferenceInput) -> list[MatchCluster]:
+def dedupe_and_cluster(candidates: list[CandidateRecord], entry: ReferenceInput,
+                       scores: dict[str, MatchScore] | None = None) -> list[MatchCluster]:
     """Partition candidates into work clusters, best match first.
 
     Exact duplicates (same source and source_id) collapse before the
     transitive closure of `cluster_join` groups the rest. Every candidate
-    lands in exactly one cluster.
+    lands in exactly one cluster. `scores` holds scores already computed
+    for the first record of each "source:source_id"; the rest are scored here.
     """
+    scores, keys = scores or {}, TextKeys()
     unique = sort_candidates(_dedupe(candidates))
     n = len(unique)
     parent = list(range(n))
@@ -355,7 +389,7 @@ def dedupe_and_cluster(candidates: list[CandidateRecord],
 
     for i in range(n):
         for j in range(i + 1, n):
-            if cluster_join(unique[i], unique[j]):
+            if cluster_join(unique[i], unique[j], keys):
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
@@ -367,18 +401,19 @@ def dedupe_and_cluster(candidates: list[CandidateRecord],
     clusters = []
     for members in groups.values():
         members = sorted(members, key=lambda r: (r.source, r.source_id))
-        scores = [(m, score_match(entry, m)) for m in members]
+        scored = [(m, scores.get(_member_key(m)) or score_match(entry, m, keys))
+                  for m in members]
         # Highest confidence wins; exact ties resolve to the smallest
         # (source, source_id) key so clustering stays deterministic.
-        top = max(s.confidence for _, s in scores)
-        tied = [(m, s) for m, s in scores if s.confidence == top]
+        top = max(s.confidence for _, s in scored)
+        tied = [(m, s) for m, s in scored if s.confidence == top]
         best_member, best_score = min(tied, key=lambda pair: _member_key(pair[0]))
         clusters.append(MatchCluster(
             members=tuple(members),
             cluster_key=_cluster_key(members),
             best_score=best_score,
             best_member=best_member,
-            member_scores=tuple((_member_key(m), s) for m, s in scores),
+            member_scores=tuple((_member_key(m), s) for m, s in scored),
         ))
     clusters.sort(key=lambda c: (-c.best_score.confidence, c.cluster_key))
     return clusters
@@ -451,55 +486,58 @@ def _status_for(confidence: float, issues: list[Issue], has_candidates: bool) ->
     return "unresolved"
 
 
-def verify_entry(entry: ReferenceInput, transport: Transport, config: SourceConfig,
-                 limit: int = DEFAULT_QUERY_LIMIT) -> EntryVerdict:
-    """Run up to three retrieval passes and produce the entry's verdict.
+@dataclass
+class _Retrieval:
+    """One entry's passes so far: evidence, outcomes and candidates in
+    pass/source order, and the score of each candidate it has seen."""
 
-    Candidates accumulate across passes and the final clustering runs over
+    entry: ReferenceInput
+    evidence: list[tuple[int, Query, dict]] = field(default_factory=list)
+    outcomes: list[QueryOutcome] = field(default_factory=list)
+    collected: list[CandidateRecord] = field(default_factory=list)
+    # The score of the first record seen per "source:source_id".
+    scores: dict[str, MatchScore] = field(default_factory=dict)
+    passes_used: int = 0
+
+    def add(self, pass_number: int, query: Query, outcome: QueryOutcome,
+            keys: TextKeys) -> None:
+        self.outcomes.append(outcome)
+        self.evidence.append((pass_number, query, outcome.digest()))
+        for record in outcome.records or ():
+            self.collected.append(record)
+            key = _member_key(record)
+            if key not in self.scores:
+                self.scores[key] = score_match(self.entry, record, keys)
+
+    def best(self) -> float:
+        return max((s.confidence for s in self.scores.values()), default=0.0)
+
+
+def _verdict(state: _Retrieval, any_enabled: bool) -> EntryVerdict:
+    """The entry's verdict once its passes are done.
+
+    Candidates accumulated across passes and the final clustering runs over
     the whole union. Connector failures fold into the evidence trace and
     the not_checked status; nothing here raises for remote trouble.
     """
     from . import manifestations  # deferred: manifestations imports our types
 
-    enabled = [s for s in SOURCES if config.is_enabled(s)]
-    evidence: list[tuple[int, Query, dict]] = []
-    outcomes: list[QueryOutcome] = []
-    collected: list[CandidateRecord] = []
-    passes_used = 0
-
-    if enabled:
-        for pass_number in (1, 2, 3):
-            passes_used = pass_number
-            for source in enabled:
-                query = source_pass_query(entry, pass_number, source, limit=limit)
-                if query is None:
-                    continue
-                outcome = query_source(source, query, transport, config)
-                outcomes.append(outcome)
-                evidence.append((pass_number, query, outcome.digest()))
-                if outcome.records:
-                    collected.extend(outcome.records)
-            best = 0.0
-            for record in _dedupe(collected):
-                best = max(best, score_match(entry, record).confidence)
-            if best >= WEAK_THRESHOLD:
-                break
-
+    entry, outcomes = state.entry, state.outcomes
     # not_checked covers: no sources enabled, no source able to serve any
     # query for this entry (nothing attempted), or every attempt failing
     # with a real failure class (not_found is evidence, not failure).
-    not_checked = (not enabled) or (not outcomes) or all(
+    not_checked = (not any_enabled) or (not outcomes) or all(
         o.failure is not None and o.failure.failure != "not_found"
         for o in outcomes
     )
     if not_checked:
         return EntryVerdict(
             entry=entry, status="not_checked", confidence=0.0, issues=(),
-            chosen=None, evidence=tuple(evidence), passes_used=max(passes_used, 1),
-            outcomes=tuple(outcomes),
+            chosen=None, evidence=tuple(state.evidence),
+            passes_used=max(state.passes_used, 1), outcomes=tuple(outcomes),
         )
 
-    clusters = dedupe_and_cluster(collected, entry)
+    clusters = dedupe_and_cluster(state.collected, entry, state.scores)
     best_cluster = clusters[0] if clusters else None
     chosen: CandidateRecord | None = None
     chosen_score: MatchScore | None = None
@@ -508,8 +546,7 @@ def verify_entry(entry: ReferenceInput, transport: Transport, config: SourceConf
     if best_cluster is not None:
         mset = manifestations.group_manifestations(best_cluster, entry)
         chosen, conflict_issue = manifestations.resolve_preference(mset)
-        key = _member_key(chosen)
-        chosen_score = dict(best_cluster.member_scores).get(key) or score_match(entry, chosen)
+        chosen_score = dict(mset.member_scores)[_member_key(chosen)]
         issues = derive_issues(entry, best_cluster, chosen, chosen_score)
         if conflict_issue is not None:
             issues = sorted(issues + [conflict_issue],
@@ -521,17 +558,50 @@ def verify_entry(entry: ReferenceInput, transport: Transport, config: SourceConf
     status = _status_for(confidence, issues, chosen is not None)
     return EntryVerdict(
         entry=entry, status=status, confidence=confidence, issues=tuple(issues),
-        chosen=chosen, evidence=tuple(evidence), passes_used=passes_used,
+        chosen=chosen, evidence=tuple(state.evidence), passes_used=state.passes_used,
         outcomes=tuple(outcomes),
     )
+
+
+def verify_entry(entry: ReferenceInput, transport: Transport, config: SourceConfig,
+                 limit: int = DEFAULT_QUERY_LIMIT) -> EntryVerdict:
+    """Run up to three retrieval passes and produce the entry's verdict: a
+    batch of one, its source queries run one at a time."""
+    return verify_entries([entry], transport, config, limit=limit, workers=1)[0]
 
 
 def verify_entries(entries: list[ReferenceInput], transport: Transport,
                    config: SourceConfig, limit: int = DEFAULT_QUERY_LIMIT,
                    workers: int = DEFAULT_WORKERS) -> list[EntryVerdict]:
-    """Verify a batch; entries run concurrently, output order matches input."""
-    if workers <= 1 or len(entries) <= 1:
-        return [verify_entry(e, transport, config, limit=limit) for e in entries]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda e: verify_entry(e, transport, config, limit=limit),
-                             entries))
+    """Verify a batch pass by pass; output order matches input.
+
+    Each pass asks every enabled source the query each still-open entry
+    puts to it, runs each distinct (source, query) once per batch with up
+    to `workers` source queries in flight (inline when `workers` is 1), and
+    hands each entry its outcomes in pass/source order. Scoring runs on the
+    calling thread, once per (entry, record) pair. An entry moves on to the
+    next pass only while its best confidence stays below WEAK_THRESHOLD.
+    """
+    enabled = [s for s in SOURCES if config.is_enabled(s)]
+    keys = TextKeys()
+    states = [_Retrieval(entry) for entry in entries]
+    fetched: dict[tuple[str, Query], QueryOutcome] = {}
+    open_states = states if enabled else []
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool is not None else map
+        for pass_number in (1, 2, 3):
+            asked: list[tuple[_Retrieval, str, Query]] = []
+            for state in open_states:
+                state.passes_used = pass_number
+                for source in enabled:
+                    query = source_pass_query(state.entry, pass_number, source, limit=limit)
+                    if query is not None:
+                        asked.append((state, source, query))
+            todo = list(dict.fromkeys((source, query) for _, source, query in asked
+                                      if (source, query) not in fetched))
+            fetched.update(zip(todo, run(lambda job: query_source(*job, transport, config),
+                                         todo)))
+            for state, source, query in asked:
+                state.add(pass_number, query, fetched[source, query], keys)
+            open_states = [s for s in open_states if s.best() < WEAK_THRESHOLD]
+    return [_verdict(state, bool(enabled)) for state in states]

@@ -55,7 +55,7 @@ class RunOptions:
     fixtures_dir: str | None = _option("Fixture store for replay/record transports", None)
     max_depth: int = _option("Folder levels scanned", DEFAULT_MAX_DEPTH, minimum=1, scan=True)
     regenerate_keys: bool = _option("Regenerate citation keys in the rewrite", False)
-    workers: int = _option("Entries verified concurrently", DEFAULT_WORKERS, minimum=1)
+    workers: int = _option("Source queries in flight at once", DEFAULT_WORKERS, minimum=1)
     limit: int = _option("Candidates requested per source query", DEFAULT_QUERY_LIMIT,
                          minimum=1, maximum=MAX_QUERY_LIMIT)
     env: dict[str, str] | None = None  # defaults to os.environ

@@ -8,7 +8,6 @@ SOURCES = ("pubmed", "crossref", "arxiv", "semantic_scholar")
 
 QUERY_KINDS = ("doi_lookup", "pmid_lookup", "arxiv_lookup",
                "title_search", "title_author_search", "relaxed_search")
-IDENTIFIER_KINDS = ("doi_lookup", "pmid_lookup", "arxiv_lookup")
 
 FAILURE_CLASSES = ("transport", "authentication", "rate_limit", "payload_shape", "not_found")
 

@@ -27,17 +27,19 @@ _ARXIV_CONTEXT_RE = re.compile(
     re.IGNORECASE,
 )
 
-_TOKEN_SPLIT_RE = re.compile(r"[^0-9a-z]+")
+_TOKEN_RE = re.compile(r"[0-9a-z]+")
 _WS_RE = re.compile(r"\s+")
+
+_SPECIAL_LETTERS = str.maketrans({
+    "ø": "o", "Ø": "O", "ł": "l", "Ł": "L", "đ": "d", "Đ": "D", "ß": "ss", "æ": "ae",
+    "Æ": "AE", "œ": "oe", "Œ": "OE", "þ": "th", "Þ": "TH"})
 
 
 def fold_diacritics(text: str) -> str:
     """Strip combining marks; map a few letters NFKD leaves alone (ø, ł, ß...)."""
-    specials = {"ø": "o", "Ø": "O", "ł": "l", "Ł": "L", "đ": "d", "Đ": "D",
-                "ß": "ss", "æ": "ae", "Æ": "AE", "œ": "oe", "Œ": "OE", "þ": "th", "Þ": "TH"}
-    for src, dst in specials.items():
-        text = text.replace(src, dst)
-    decomposed = unicodedata.normalize("NFKD", text)
+    if text.isascii():
+        return text  # no marks, and NFKD leaves ASCII as it is
+    decomposed = unicodedata.normalize("NFKD", text.translate(_SPECIAL_LETTERS))
     return "".join(ch for ch in decomposed if unicodedata.category(ch) != "Mn")
 
 
@@ -48,13 +50,16 @@ def normalize_display(text: str) -> str:
 
 def match_tokens(text: str) -> frozenset[str]:
     """Casefolded, diacritic-folded, punctuation-stripped token set for matching."""
-    folded = fold_diacritics(text).casefold()
-    return frozenset(t for t in _TOKEN_SPLIT_RE.split(folded) if t)
+    return frozenset(_TOKEN_RE.findall(fold_diacritics(text).casefold()))
 
 
 def token_jaccard(a: str, b: str) -> float:
     """Token-set Jaccard similarity; empty-vs-anything is 0.0. Symmetric."""
-    ta, tb = match_tokens(a), match_tokens(b)
+    return jaccard(match_tokens(a), match_tokens(b))
+
+
+def jaccard(ta: frozenset[str], tb: frozenset[str]) -> float:
+    """Jaccard similarity of two token sets; an empty set scores 0.0."""
     if not ta or not tb:
         return 0.0
     return len(ta & tb) / len(ta | tb)

@@ -2,20 +2,29 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
+import threading
+import time
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
+from citecheck import manifestations, matching
 from citecheck.extraction import extract_references
 from citecheck.extraction.models import RawReference, ReferenceInput
 from citecheck.matching import (STOP_WORDS, build_pass_query, cluster_join,
                                 dedupe_and_cluster, derive_issues,
                                 relaxed_query_text, score_match, source_pass_query,
-                                title_similarity, verify_entry)
-from citecheck.sources import CandidateRecord, FixtureStore, ReplayTransport
+                                title_similarity, verify_entries, verify_entry)
+from citecheck.sources import (CandidateRecord, FixtureStore, ReplayTransport, Transport,
+                               query_source, request_key, summarize_health)
 from citecheck.sources.config import SourceConfig
+from citecheck.sources.models import SOURCES
 
 CONFIG = corpus.CONFIG
 
@@ -427,3 +436,145 @@ def test_unservable_entry_is_not_checked(corpus_paths):
     verdict = verify_entry(entry, _replay(corpus_paths), config)
     assert verdict.status == "not_checked"
     assert verdict.evidence == ()
+
+
+# ---------------------------------------------------------------------------
+# verify_entries: batches, shared queries, scoring once
+# ---------------------------------------------------------------------------
+
+class _ShuffledTransport(Transport):
+    """Replays fixtures, finishing each request after a random delay of up to
+    a millisecond, so concurrent requests complete in shuffled order. Counts
+    the requests it serves by request key."""
+
+    def __init__(self, inner: Transport, seed: int = 0):
+        self.inner = inner
+        self.rng = random.Random(seed)
+        self.lock = threading.Lock()
+        self.fetched: Counter[str] = Counter()
+
+    @property
+    def mode(self) -> str:
+        return self.inner.mode
+
+    def fetch(self, request):
+        with self.lock:
+            delay = self.rng.random() / 1000
+            self.fetched[request_key(request)] += 1
+        time.sleep(delay)
+        return self.inner.fetch(request)
+
+
+def _with_ordinal(entry: ReferenceInput, ordinal: int) -> ReferenceInput:
+    """The same reference at another place in the bibliography."""
+    return dataclasses.replace(entry, raw=dataclasses.replace(entry.raw, ordinal=ordinal))
+
+
+def _corpus_entries(corpus_paths) -> list[ReferenceInput]:
+    """Entries of the fixture workspaces, repeats of some of them, and
+    identifier-only copies of those that carry an identifier."""
+    files = [("main", "references.bib"), ("main", "notes.md"), ("main", "field_notes.txt"),
+             ("biomed", "biomed.bib"), ("manifestation", "cited.bib"),
+             ("duplicates", "dup.bib"), ("failures", "flaky.bib"),
+             ("multipass", "obscure.bib"), ("mixed", "mixed.bib")]
+    entries = [e for name, file in files
+               for e in extract_references(corpus_paths[name] / file).entries]
+    repeats = [_with_ordinal(e, e.ordinal + 1000) for e in entries[::4]]
+    id_only = [dataclasses.replace(e, title=None) for e in entries if e.identifier_map()]
+    return entries + repeats + id_only[::2]
+
+
+def _sequential_passes(entry: ReferenceInput, transport: Transport,
+                       config: SourceConfig) -> tuple[tuple, int]:
+    """(evidence, passes_used) of the plain loop: one entry, one source
+    query at a time, escalating while its best score stays weak."""
+    enabled = [s for s in SOURCES if config.is_enabled(s)]
+    evidence, first_records, passes_used = [], {}, 0
+    for pass_number in (1, 2, 3) if enabled else ():
+        passes_used = pass_number
+        for source in enabled:
+            query = source_pass_query(entry, pass_number, source)
+            if query is not None:
+                outcome = query_source(source, query, transport, config)
+                evidence.append((pass_number, query, outcome.digest()))
+                for r in outcome.records or ():
+                    first_records.setdefault((r.source, r.source_id), r)
+        if max((score_match(entry, r).confidence for r in first_records.values()),
+               default=0.0) >= matching.WEAK_THRESHOLD:
+            break
+    return tuple(evidence), passes_used
+
+
+def test_batch_verdicts_equal_single_entry_verdicts(corpus_paths):
+    """However a batch is made up and however many queries are in flight,
+    each entry gets the verdict it gets when verified alone, and that one
+    follows the plain sequential pass loop."""
+    pool = _corpus_entries(corpus_paths)
+    replay = _replay(corpus_paths)
+    alone = [verify_entry(entry, replay, CONFIG) for entry in pool]
+    assert {v.status for v in alone} == {"verified", "needs_review", "unresolved",
+                                         "not_checked"}
+    for entry, verdict in zip(pool, alone):
+        assert (verdict.evidence, verdict.passes_used) == _sequential_passes(
+            entry, replay, CONFIG)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(picks=st.lists(st.integers(0, len(pool) - 1), max_size=12),
+           workers=st.sampled_from((1, 2, 4)), seed=st.integers(0, 2 ** 32 - 1))
+    def check(picks, workers, seed):
+        transport = _ShuffledTransport(replay, seed)
+        verdicts = verify_entries([pool[i] for i in picks], transport, CONFIG,
+                                  workers=workers)
+        for i, verdict in zip(picks, verdicts, strict=True):
+            expected = alone[i]
+            assert (verdict.entry, verdict.status, verdict.confidence, verdict.issues,
+                    verdict.chosen, verdict.evidence, verdict.passes_used) == (
+                expected.entry, expected.status, expected.confidence, expected.issues,
+                expected.chosen, expected.evidence, expected.passes_used)
+
+    check()
+
+
+def test_repeated_entries_fetch_each_request_once(corpus_paths):
+    """A repeated reference adds no request, while source health still counts
+    the queries each entry made, as it does when entries run one by one."""
+    distinct = [e for name, file in [("main", "references.bib"), ("multipass", "obscure.bib"),
+                                     ("failures", "flaky.bib")]
+                for e in extract_references(corpus_paths[name] / file).entries]
+    entries = distinct + [_with_ordinal(e, e.ordinal + 100) for e in distinct] + [
+        _with_ordinal(e, e.ordinal + 200) for e in distinct[-3:]]
+    once = _ShuffledTransport(_replay(corpus_paths))
+    verify_entries(distinct, once, CONFIG)
+    transport = _ShuffledTransport(_replay(corpus_paths))
+    verdicts = verify_entries(entries, transport, CONFIG)
+
+    assert set(transport.fetched.values()) == {1}
+    assert transport.fetched == once.fetched
+    alone = [verify_entry(e, _replay(corpus_paths), CONFIG) for e in entries]
+    health = summarize_health([o for v in verdicts for o in v.outcomes], CONFIG)
+    assert health == summarize_health([o for v in alone for o in v.outcomes], CONFIG)
+    crossref = next(h for h in health if h.source == "crossref")
+    sent = sum(n for key, n in transport.fetched.items() if key.startswith("crossref|"))
+    assert crossref.attempted > sent
+
+
+def test_each_pair_scored_once_per_batch(corpus_paths, monkeypatch):
+    """The pass loop, clustering and manifestation grouping share one score
+    per (entry, record) pair."""
+    seen: Counter[tuple[int, str, str]] = Counter()
+
+    def spy(entry, record, *args):
+        seen[entry.ordinal, record.source, record.source_id] += 1
+        return score_match(entry, record, *args)
+
+    monkeypatch.setattr(matching, "score_match", spy)
+    monkeypatch.setattr(manifestations, "score_match", spy)
+    entries = [e for name, file in [("main", "references.bib"), ("biomed", "biomed.bib"),
+                                    ("manifestation", "cited.bib"),
+                                    ("multipass", "obscure.bib"), ("mixed", "mixed.bib")]
+               for e in extract_references(corpus_paths[name] / file).entries]
+    entries = [_with_ordinal(e, i) for i, e in enumerate(entries)]  # one ordinal each
+    verdicts = verify_entries(entries, _replay(corpus_paths), CONFIG)
+
+    assert any(v.passes_used == 3 for v in verdicts)
+    assert seen and max(seen.values()) == 1

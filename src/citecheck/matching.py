@@ -19,6 +19,7 @@ each (entry, record) pair is scored once.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -572,7 +573,9 @@ def verify_entry(entry: ReferenceInput, transport: Transport, config: SourceConf
 
 def verify_entries(entries: list[ReferenceInput], transport: Transport,
                    config: SourceConfig, limit: int = DEFAULT_QUERY_LIMIT,
-                   workers: int = DEFAULT_WORKERS) -> list[EntryVerdict]:
+                   workers: int = DEFAULT_WORKERS,
+                   known: Mapping[tuple[str, Query], QueryOutcome] | None = None,
+                   ) -> list[EntryVerdict]:
     """Verify a batch pass by pass; output order matches input.
 
     Each pass asks every enabled source the query each still-open entry
@@ -581,11 +584,17 @@ def verify_entries(entries: list[ReferenceInput], transport: Transport,
     hands each entry its outcomes in pass/source order. Scoring runs on the
     calling thread, once per (entry, record) pair. An entry moves on to the
     next pass only while its best confidence stays below WEAK_THRESHOLD.
+
+    `known` holds outcomes this transport already gave, such as an earlier
+    run's: a (source, query) found there is taken from it and not fetched.
+    The caller decides what may be reused; an outcome is a function of the
+    transport's answers and the (source, query), whose query holds `limit`.
     """
     enabled = [s for s in SOURCES if config.is_enabled(s)]
     keys = TextKeys()
     states = [_Retrieval(entry) for entry in entries]
     fetched: dict[tuple[str, Query], QueryOutcome] = {}
+    known = known or {}
     open_states = states if enabled else []
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run = pool.map if pool is not None else map
@@ -597,8 +606,10 @@ def verify_entries(entries: list[ReferenceInput], transport: Transport,
                     query = source_pass_query(state.entry, pass_number, source, limit=limit)
                     if query is not None:
                         asked.append((state, source, query))
-            todo = list(dict.fromkeys((source, query) for _, source, query in asked
-                                      if (source, query) not in fetched))
+            jobs = dict.fromkeys((source, query) for _, source, query in asked
+                                 if (source, query) not in fetched)
+            fetched.update((job, known[job]) for job in jobs if job in known)
+            todo = [job for job in jobs if job not in fetched]
             fetched.update(zip(todo, run(lambda job: query_source(*job, transport, config),
                                          todo)))
             for state, source, query in asked:

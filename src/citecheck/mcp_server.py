@@ -5,6 +5,14 @@ diagnostic goes to stderr. Requests are handled strictly one at a time in
 arrival order: write-back tools must never race, and MCP clients
 tolerate sequential servers. Tool failures become structured error
 payloads; the loop itself never dies on a bad request.
+
+A pipeline call starts from the previous pipeline call's source outcomes
+when both ran on the same transport mode and fixtures directory, so a
+repair right after an analyze fetches nothing again. Only outcomes that a
+retry would not change are carried: a missing fixture, a timeout or a 429
+is asked again. Reports do not change, except that a carried live outcome
+keeps the latency of its first fetch. Only the previous call's outcomes
+are kept, so memory stays that of one call.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from . import __version__
 from .errors import CitecheckError
 from .pipeline import (RunOptions, front_end_options, render_output, report_json,
                        run_repair, scan_report_dict)
+from .sources import Query, QueryOutcome
 from .workspace import scan_workspace
 
 PROTOCOL_VERSION = "2024-11-05"
@@ -66,26 +75,32 @@ def tool_descriptors() -> list[dict]:
             for name, (stage, description) in _TOOLS.items()]
 
 
-def call_tool(name: str, args: dict) -> tuple[str, bool]:
-    """Run one tool; returns (payload text, is_error)."""
-    stage = _TOOLS[name][0]
-    if stage == "version":
-        return json.dumps({"version": __version__}), False
-    options = RunOptions.from_arguments(args, scan=stage == "scan")
-    if stage == "scan":
-        report = scan_workspace(options.path, max_depth=options.max_depth)
-        return report_json(scan_report_dict(report)), False
-    run = run_repair(options, stage=stage)
-    payload = render_output(run, options.fmt)
-    # A write that policy refused is an error payload, but the report still
-    # travels with it so callers see the full diagnostics.
-    return payload, run.apply_error is not None
-
-
 class McpServer:
     def __init__(self, stdin: TextIO | None = None, stdout: TextIO | None = None):
         self.stdin = stdin if stdin is not None else sys.stdin
         self.stdout = stdout if stdout is not None else sys.stdout
+        # The previous pipeline call's outcomes that a retry would not change,
+        # under that call's (transport mode, fixtures dir): at most one entry.
+        self.known: dict[tuple[str, str | None], dict[tuple[str, Query], QueryOutcome]] = {}
+
+    def call_tool(self, name: str, args: dict) -> tuple[str, bool]:
+        """Run one tool; returns (payload text, is_error)."""
+        stage = _TOOLS[name][0]
+        if stage == "version":
+            return json.dumps({"version": __version__}), False
+        options = RunOptions.from_arguments(args, scan=stage == "scan")
+        if stage == "scan":
+            report = scan_workspace(options.path, max_depth=options.max_depth)
+            return report_json(scan_report_dict(report)), False
+        config = options.source_config()
+        key = (config.transport_mode, config.fixtures_dir)
+        run = run_repair(options, stage=stage, known=self.known.get(key, {}))
+        self.known = {key: {(o.source, o.query): o for v in run.verdicts for o in v.outcomes
+                            if o.failure is None or not o.failure.retryable}}
+        payload = render_output(run, options.fmt)
+        # A write that policy refused is an error payload, but the report still
+        # travels with it so callers see the full diagnostics.
+        return payload, run.apply_error is not None
 
     def _send(self, message: dict) -> None:
         self.stdout.write(json.dumps(message, ensure_ascii=False) + "\n")
@@ -115,14 +130,17 @@ class McpServer:
             self._result(request_id, {"tools": tool_descriptors()})
             return
         if method == "tools/call":
-            params = request.get("params") or {}
-            name = params.get("name", "")
+            params = request.get("params")
+            name = params.get("name") if isinstance(params, dict) else None
+            if not isinstance(name, str):
+                self._error(request_id, -32602, "params must be an object whose name is a string")
+                return
             if name not in _TOOLS:
                 self._error(request_id, -32601, f"unknown tool: {name}")
                 return
             args = params.get("arguments") or {}
             try:
-                payload, is_error = call_tool(name, args)
+                payload, is_error = self.call_tool(name, args)
             except CitecheckError as exc:
                 payload = json.dumps(
                     {"error": {"type": type(exc).__name__, "message": str(exc)}})

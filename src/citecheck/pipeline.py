@@ -9,6 +9,7 @@ relative forward-slash paths, no timestamps, zero latency under replay.
 import json
 import os
 import typing
+from collections.abc import Mapping
 from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
 
@@ -21,7 +22,8 @@ from .rewrite import (ApplyResult, RewritePlan, analyze_key_mapping, apply_rewri
                       plan_rewrite, render_bibliography)
 from .rewrite.engine import eligible_pairs
 from .rewrite.models import PLAN_MODES, RENDER_FORMATS, WRITE_MODES
-from .sources import SourceConfig, config_from_env, make_transport, summarize_health
+from .sources import (Query, QueryOutcome, SourceConfig, config_from_env, make_transport,
+                      summarize_health)
 from .sources.config import TRANSPORT_MODES
 from .sources.models import DEFAULT_QUERY_LIMIT, MAX_QUERY_LIMIT, SOURCES
 from .workspace import (DEFAULT_MAX_DEPTH, ScanReport, scan_workspace,
@@ -79,6 +81,11 @@ class RunOptions:
             raise UsageError("missing required option: path")
         return cls(**{fields_by_name[name]: (tuple(v) or None) if isinstance(v, list) else v
                       for name, v in arguments.items()})
+
+    def source_config(self) -> SourceConfig:
+        """The sources, transport and fixture store this run talks to."""
+        return config_from_env(self.env, sources=self.sources, transport=self.transport,
+                               fixtures_dir=self.fixtures_dir)
 
 
 def front_end_options(scan: bool = False) -> list[tuple[Field, str, type]]:
@@ -171,8 +178,12 @@ def scan_report_dict(report: ScanReport) -> dict:
     }
 
 
-def run_repair(options: RunOptions, stage: str = "repair") -> RepairRun:
-    """Execute the pipeline up to `stage` and assemble the structured report."""
+def run_repair(options: RunOptions, stage: str = "repair",
+               known: Mapping[tuple[str, Query], QueryOutcome] | None = None) -> RepairRun:
+    """Execute the pipeline up to `stage` and assemble the structured report.
+
+    `known`: source outcomes to reuse instead of fetching (see verify_entries).
+    """
     if stage not in STAGES:
         raise ValueError(f"unknown stage: {stage}")
 
@@ -188,13 +199,11 @@ def run_repair(options: RunOptions, stage: str = "repair") -> RepairRun:
 
     extraction = extract_references(artifact_path)
 
-    config = config_from_env(options.env, sources=options.sources,
-                             transport=options.transport,
-                             fixtures_dir=options.fixtures_dir)
+    config = options.source_config()
     transport = make_transport(config.transport_mode, config.fixtures_dir)
 
     verdicts = verify_entries(extraction.entries, transport, config,
-                              limit=options.limit, workers=options.workers)
+                              limit=options.limit, workers=options.workers, known=known)
     outcomes = [o for v in verdicts for o in v.outcomes]
     health = summarize_health(outcomes, config)
 

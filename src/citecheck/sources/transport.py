@@ -16,6 +16,7 @@ import json
 import random
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from urllib.parse import quote, urlsplit
 
@@ -35,6 +36,20 @@ class HttpRequest:
     auth_params: tuple[tuple[str, str], ...] = ()  # sent live, never keyed
     headers: tuple[tuple[str, str], ...] = ()
 
+    @cached_property
+    def key(self) -> str:
+        """Canonical, reorder-stable key: source | url path | sorted encoded params.
+
+        Computed on first use and kept with the request, so the transport and
+        the parser it feeds share one computation.
+        """
+        path = urlsplit(self.url).path
+        encoded = "&".join(
+            f"{quote(k, safe='')}={quote(v, safe='')}"
+            for k, v in sorted(self.params)
+        )
+        return f"{self.source}|{path}|{encoded}"
+
 
 @dataclass(frozen=True)
 class RawResponse:
@@ -46,13 +61,8 @@ class RawResponse:
 
 
 def request_key(request: HttpRequest) -> str:
-    """Canonical, reorder-stable key: source | url path | sorted encoded params."""
-    path = urlsplit(request.url).path
-    encoded = "&".join(
-        f"{quote(k, safe='')}={quote(v, safe='')}"
-        for k, v in sorted(request.params)
-    )
-    return f"{request.source}|{path}|{encoded}"
+    """The request's canonical key, `HttpRequest.key`."""
+    return request.key
 
 
 def _fixture_path(fixtures_dir: Path, key: str) -> Path:

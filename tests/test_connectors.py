@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import corpus
 from citecheck.errors import FixtureMissing
+from citecheck.extraction import extract_references
 from citecheck.matching import score_match
 from citecheck.sources import (SOURCE_CAPABILITIES, SOURCES, FixtureStore, LiveTransport,
                                Query, RecordTransport, ReplayTransport, SourceConfig,
@@ -146,6 +147,43 @@ def test_auth_params_never_reach_the_key():
         Query(kind="title_search", text="t"),
         SourceConfig(enabled_sources=("crossref",), crossref_mailto="a@b.c"))
     assert request_key(plain) == request_key(with_mailto)
+
+
+class _ConstantLive:
+    """Stands in for LiveTransport: every request gets the same 200 answer."""
+
+    def fetch(self, request):
+        return RawResponse(status=200, body=b"{}")
+
+
+@pytest.mark.parametrize("mode", ["replay", "record"])
+def test_request_key_computed_once_per_fetched_request(corpus_paths, tmp_path, monkeypatch,
+                                                       mode):
+    from urllib.parse import urlsplit
+
+    from citecheck.matching import verify_entries
+    from citecheck.sources import transport as transport_module
+
+    computed = []
+    monkeypatch.setattr(transport_module, "urlsplit",
+                        lambda url: computed.append(url) or urlsplit(url))
+    inner = (_replay(corpus_paths) if mode == "replay"
+             else RecordTransport(FixtureStore(tmp_path), live=_ConstantLive()))
+    fetched = []
+
+    class Counting(Transport):
+        def fetch(self, request):
+            fetched.append(request)
+            return inner.fetch(request)
+
+    entries = extract_references(corpus_paths["main"] / "references.bib").entries
+    verify_entries(entries, Counting(), CONFIG, workers=1)
+    assert len(fetched) > len(entries)
+    assert len(computed) == len(fetched)
+    # The key, and with it each fixture's file name, is unchanged.
+    request = HttpRequest(source="crossref", url="https://api.crossref.org/works",
+                          params=(("rows", "5"), ("query.bibliographic", "deep learning")))
+    assert request_key(request) == "crossref|/works|query.bibliographic=deep%20learning&rows=5"
 
 
 def test_replay_returns_identical_bytes(tmp_path):

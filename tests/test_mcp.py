@@ -5,13 +5,17 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from citecheck import __version__
 from citecheck.cli import build_parser
 from citecheck.mcp_server import McpServer, tool_descriptors
-from citecheck.pipeline import front_end_options
+from citecheck.pipeline import RunOptions, front_end_options, run_repair
+from citecheck.sources import transport
 
 EXPECTED_TOOLS = ["scan_workspace", "analyze_references", "plan_reference_rewrite",
                   "apply_reference_rewrite", "repair_paper", "citecheck_version"]
@@ -202,4 +206,162 @@ def test_workers_and_limit_reach_the_run(corpus_paths, monkeypatch):
         "path": str(corpus_paths["main"]), "transport": "replay",
         "fixtures_dir": str(corpus_paths["fixtures"]), "workers": 1, "limit": 2})])
     assert responses[0]["result"]["isError"] is False
-    assert seen == {"workers": 1, "limit": 2}
+    # A session's first call has no earlier outcomes to start from.
+    assert seen == {"workers": 1, "limit": 2, "known": {}}
+
+
+# Malformed requests: every request gets an answer and the loop goes on. Object
+# keys are never option names, so only the last strategy below sets options.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=8).filter(lambda k: k not in PIPELINE_OPTIONS), inner, max_size=3),
+    max_leaves=8)
+_TOOL_NAMES = st.sampled_from(EXPECTED_TOOLS) | _JSON
+
+
+@pytest.mark.parametrize("params", [[1], [], None, {}, {"name": ["x"]}, {"name": {}}, "x", 3])
+def test_malformed_tool_call_params_are_invalid_params(params):
+    responses = _exchange([
+        {"jsonrpc": "2.0", "id": 1, "method": "tools/call", "params": params},
+        {"jsonrpc": "2.0", "id": 2, "method": "tools/list"},
+    ])
+    assert responses[0] == {"jsonrpc": "2.0", "id": 1, "error": {
+        "code": -32602, "message": "params must be an object whose name is a string"}}
+    assert len(responses[1]["result"]["tools"]) == 6
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(params=st.one_of(
+    _JSON,
+    st.fixed_dictionaries({"name": _TOOL_NAMES}),
+    st.fixed_dictionaries({"name": _TOOL_NAMES, "arguments": _JSON}),
+    # Real option names with any values, on a folder that does not exist.
+    st.fixed_dictionaries({"name": _TOOL_NAMES, "arguments": st.dictionaries(
+        st.sampled_from(sorted(PIPELINE_OPTIONS - {"path", "transport", "fixtures_dir"})),
+        _JSON).map(lambda a: {**a, "path": "ghost"})})))
+def test_any_tool_call_params_get_a_reply(params, tmp_path, monkeypatch):
+    # Whatever the arguments, no run may reach the network or a real folder.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CITECHECK_TRANSPORT", "replay")
+    monkeypatch.setenv("CITECHECK_FIXTURES_DIR", str(tmp_path / "fixtures"))
+    responses = _exchange([
+        {"jsonrpc": "2.0", "id": 1, "method": "tools/call", "params": params},
+        {"jsonrpc": "2.0", "id": 2, "method": "tools/list"},
+    ])
+    assert [r["id"] for r in responses] == [1, 2]
+    assert ("result" in responses[0]) != ("error" in responses[0])
+    assert len(responses[1]["result"]["tools"]) == 6
+
+
+# Carry-over: a pipeline call starts from the previous call's outcomes.
+def _replay_args(corpus_paths, folder: str, fixtures=None) -> dict:
+    return {"path": str(corpus_paths[folder]), "transport": "replay",
+            "fixtures_dir": str(fixtures or corpus_paths["fixtures"])}
+
+
+@pytest.fixture()
+def fetches(monkeypatch) -> list[str]:
+    """The request key of every fetch a replay or record transport makes."""
+    seen = []
+    for cls in (transport.ReplayTransport, transport.RecordTransport):
+        def spy(self, request, fetch=cls.fetch):
+            seen.append(transport.request_key(request))
+            return fetch(self, request)
+        monkeypatch.setattr(cls, "fetch", spy)
+    return seen
+
+
+def _carryable(run) -> set:
+    return {(o.source, o.query) for v in run.verdicts for o in v.outcomes
+            if o.failure is None or not o.failure.retryable}
+
+
+def test_session_payloads_equal_a_fresh_server_per_call(corpus_paths, fetches):
+    calls = [_call(tool, _replay_args(corpus_paths, folder), request_id=i)
+             for i, (folder, tool) in enumerate(
+                 (folder, tool) for folder in ("main", "biomed")
+                 for tool in ("analyze_references", "repair_paper", "plan_reference_rewrite"))]
+    session = _exchange(calls)
+    assert not any(response["result"]["isError"] for response in session)
+    session_fetches = len(fetches)
+    fetches.clear()
+    fresh = [response for call in calls for response in _exchange([call])]
+    assert session == fresh
+    # Repair and plan fetched nothing that analyze had fetched.
+    assert session_fetches == len(fetches) // 3
+
+
+def test_missing_fixture_is_not_carried(corpus_paths, tmp_path, fetches):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(corpus_paths["fixtures"], fixtures)
+    args = _replay_args(corpus_paths, "main", fixtures)
+    complete, _ = McpServer().call_tool("repair_paper", args)
+    key = fetches[0]
+    fixture = transport._fixture_path(fixtures, key)
+    recorded = fixture.read_bytes()
+    fixture.unlink()
+
+    server = McpServer()
+    first, _ = server.call_tool("analyze_references", args)
+    assert "transport" in json.dumps(json.loads(first)["source_health"])
+    [table] = server.known.values()
+    assert all(o.failure is None or not o.failure.retryable for o in table.values())
+    fixture.write_bytes(recorded)  # recorded between the two calls
+    fetches.clear()
+    second, _ = server.call_tool("repair_paper", args)
+    assert fetches == [key]
+    assert second == complete
+
+
+@pytest.mark.parametrize("change", ["fixtures_dir", "transport"])
+def test_other_store_or_transport_reads_everything_again(corpus_paths, tmp_path, fetches,
+                                                         monkeypatch, change):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(corpus_paths["fixtures"], fixtures)
+    store = transport.FixtureStore(corpus_paths["fixtures"])
+    monkeypatch.setattr(transport.LiveTransport, "fetch",
+                        lambda self, request: store.load(transport.request_key(request)))
+    server = McpServer()
+    server.call_tool("analyze_references", _replay_args(
+        corpus_paths, "main", fixtures if change == "transport" else None))
+    first = sorted(fetches)
+    fetches.clear()
+    second_args = _replay_args(corpus_paths, "main", fixtures)
+    if change == "transport":
+        second_args["transport"] = "record"
+    payload, _ = server.call_tool("analyze_references", second_args)
+    assert sorted(fetches) == first
+    assert payload == McpServer().call_tool("analyze_references", second_args)[0]
+
+
+def test_table_holds_only_the_previous_call(corpus_paths):
+    server = McpServer()
+    main, biomed = (_replay_args(corpus_paths, folder) for folder in ("main", "biomed"))
+    server.call_tool("analyze_references", main)
+    server.call_tool("repair_paper", biomed)
+    from_main, from_biomed = (_carryable(run_repair(RunOptions.from_arguments(args)))
+                              for args in (main, biomed))
+    assert from_main - from_biomed
+    [(key, table)] = server.known.items()
+    assert key == ("replay", str(corpus_paths["fixtures"]))
+    assert set(table) == from_biomed
+
+
+def test_source_health_equal_with_and_without_carry(corpus_paths, fetches):
+    args = _replay_args(corpus_paths, "failures")
+    server = McpServer()
+    server.call_tool("analyze_references", args)
+    analyze_fetches = len(fetches)
+    fetches.clear()
+    carried, _ = server.call_tool("repair_paper", args)
+    repair_fetches = len(fetches)
+    fresh, _ = McpServer().call_tool("repair_paper", args)
+    health = json.loads(fresh)["source_health"]
+    # Rate limits and transport failures are asked again; the rest is carried.
+    assert 0 < repair_fetches < analyze_fetches
+    assert {c for h in health for c in h["failures_by_class"]} == {
+        "rate_limit", "transport", "authentication", "payload_shape"}
+    assert json.loads(carried)["source_health"] == health
+    assert carried == fresh

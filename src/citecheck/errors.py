@@ -39,10 +39,10 @@ class MissingDocumentPart(CitecheckError):
 
 
 class FixtureMissing(CitecheckError):
-    """Replay transport has no stored response for a request key."""
+    """Replay transport has no usable stored response for a request key."""
 
-    def __init__(self, request_key: str):
-        super().__init__(f"no recorded fixture for request key: {request_key}")
+    def __init__(self, request_key: str, problem: str = "no recorded fixture"):
+        super().__init__(f"{problem} for request key: {request_key}")
         self.request_key = request_key
 
 

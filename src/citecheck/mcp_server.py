@@ -10,9 +10,9 @@ A pipeline call starts from the previous pipeline call's source outcomes
 when both ran on the same transport mode and fixtures directory, so a
 repair right after an analyze fetches nothing again. Only outcomes that a
 retry would not change are carried: a missing fixture, a timeout or a 429
-is asked again. Reports do not change, except that a carried live outcome
-keeps the latency of its first fetch. Only the previous call's outcomes
-are kept, so memory stays that of one call.
+is asked again. Reports do not change under carry, live ones included, as no
+report holds a timing. Only the previous call's outcomes are kept, so memory
+stays that of one call.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ _TOOLS = {
     "analyze_references": ("analyze", "Extract references from the selected artifact and "
                            "verify them against scholarly metadata sources."),
     "plan_reference_rewrite": ("plan", "Produce a policy-gated rewrite plan with patch "
-                               "previews, rendered bibliographies, and key-mapping risk."),
+                               "previews and key-mapping risk; pass format for the "
+                               "corrected bibliography instead of the report."),
     "apply_reference_rewrite": ("apply", "Apply a rewrite plan in preview, sidecar, or "
                                 "replace mode. Blocked plans refuse write-back."),
     "repair_paper": ("repair", "Full pipeline: scan, extract, verify, resolve manifestations, "

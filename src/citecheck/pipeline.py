@@ -2,8 +2,8 @@
 
 Both frontends (CLI and MCP server) call into here and print the same
 canonical JSON, so the human and agent paths cannot diverge. Reports are
-deterministic for fixed inputs and a fixed fixture store: sorted keys,
-relative forward-slash paths, no timestamps, zero latency under replay.
+deterministic for fixed inputs and fixed source answers, live or replayed:
+sorted keys, relative forward-slash paths, no timestamps and no timings.
 """
 
 import json
@@ -118,7 +118,7 @@ def _check_option(name: str, kind: type, meta, value) -> None:
 class RepairRun:
     report: dict
     exit_code: int
-    decision: PolicyDecision | None = None
+    decision: PolicyDecision
     plan: RewritePlan | None = None
     apply_result: ApplyResult | None = None
     apply_error: str | None = None
@@ -145,15 +145,12 @@ def report_json(report: dict) -> str:
 def render_output(result: "RepairRun", fmt: str) -> str:
     """The payload a frontend prints for one run: report JSON or a rendering.
 
-    Plans already carry all five renderings; analyze-stage runs render on
-    demand from their verdicts under the same eligibility rule.
+    A rendering is the bibliography in `fmt`, each entry corrected where
+    replacement is eligible under the run's preset, whatever the stage.
     """
     if fmt == "json":
         return report_json(result.report)
-    if result.plan is not None:
-        return result.plan.rendered[fmt]
-    allow = (result.decision.preset.allow_replacement_with_needs_review
-             if result.decision is not None else False)
+    allow = result.decision.preset.allow_replacement_with_needs_review
     return render_bibliography(eligible_pairs(result.verdicts, allow), fmt)
 
 
@@ -308,7 +305,6 @@ def assemble_report(options: RunOptions, base_dir: Path, scan: ScanReport,
         plan_dict["content_digests"] = {
             _relativize(path, base_dir): digest for path, digest in plan.content_digests
         }
-        plan_dict["rendered"] = plan.rendered
 
     apply_dict = None
     if apply_result is not None:

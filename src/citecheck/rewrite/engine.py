@@ -30,7 +30,7 @@ from ..sources import CandidateRecord
 from ..workspace import sidecar_path
 from .keys import assign_citation_keys
 from .models import ApplyResult, KeyMapping, Patch, RewritePlan
-from .render import RENDERERS, MergedEntry, bibtex_authors, merge_pairs, patch_text_entry
+from .render import MergedEntry, bibtex_authors, merge_pairs, patch_text_entry
 
 
 def file_digest(data: bytes) -> str:
@@ -271,8 +271,6 @@ def plan_rewrite(artifact_path: str | Path, extraction: ExtractionResult,
         key_mapping = analyze_key_mapping(extraction, workspace_root, regenerate_keys)
 
     pairs = eligible_pairs(verdicts, policy.preset.allow_replacement_with_needs_review)
-    merged = merge_pairs(pairs)
-    rendered = {fmt: render(merged) for fmt, render in RENDERERS.items()}
 
     safety = {
         "duplicate_keys": sum(1 for f in extraction.lint if f.code == "duplicate_key"),
@@ -294,7 +292,7 @@ def plan_rewrite(artifact_path: str | Path, extraction: ExtractionResult,
     if mode == "replacement" and not blocked:
         renames = (dict(key_mapping.mapping)
                    if regenerate_keys and not key_mapping.unsafe else {})
-        for (entry, chosen), merged_entry in zip(pairs, merged):
+        for (entry, chosen), merged_entry in zip(pairs, merge_pairs(pairs)):
             if entry.raw.origin_format == "bibtex":
                 planned = _plan_bibtex_patches(entry, chosen,
                                                renames.get(entry.citation_key), files)
@@ -312,7 +310,6 @@ def plan_rewrite(artifact_path: str | Path, extraction: ExtractionResult,
         mode=mode,
         patches=tuple(patches),
         key_mapping=key_mapping,
-        rendered=rendered,
         safety=safety,
         content_digests=tuple((path, file_digest(data)) for path, (data, _) in files.items()),
         encodings=tuple((path, encoding) for path, (_, encoding) in files.items()),

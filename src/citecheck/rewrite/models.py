@@ -68,7 +68,6 @@ class RewritePlan:
     mode: str  # review | replacement
     patches: tuple[Patch, ...]
     key_mapping: KeyMapping
-    rendered: dict[str, str]  # format -> text, all five formats
     safety: dict[str, int]  # duplicate_keys / unsafe_key_rewrites / manifestation_conflicts
     content_digests: tuple[tuple[str, str], ...]  # (path, sha256) of planned-over bytes
     encodings: tuple[tuple[str, str], ...]  # (path, codec) for span arithmetic

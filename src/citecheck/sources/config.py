@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from ..errors import ConfigError
 from .models import SOURCES
 
 DEFAULT_ENABLED = ("pubmed", "crossref", "arxiv")
@@ -36,9 +37,9 @@ class SourceConfig:
     def __post_init__(self) -> None:
         for source in self.enabled_sources:
             if source not in SOURCES:
-                raise ValueError(f"unknown source in configuration: {source}")
+                raise ConfigError(f"unknown source in configuration: {source}")
         if self.transport_mode not in TRANSPORT_MODES:
-            raise ValueError(f"unknown transport mode: {self.transport_mode}")
+            raise ConfigError(f"unknown transport mode: {self.transport_mode}")
 
     def is_enabled(self, source: str) -> bool:
         return source in self.enabled_sources

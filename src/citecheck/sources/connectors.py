@@ -372,15 +372,13 @@ _SINGLE_REQUEST = {
 
 
 def _fetch_parsed(source: str, query: Query, transport: Transport, request: HttpRequest,
-                  parse, latency_ms: int = 0) -> tuple[list, int] | QueryOutcome:
-    """Fetch one request: (parse(body, query kind, request key), total latency).
+                  parse) -> list | QueryOutcome:
+    """Fetch one request: parse(body, query kind, request key), or a failure outcome.
 
-    Or a failure outcome: a transport-level problem keeps its class, any
-    exception raised while parsing a 2xx body is payload_shape, and an empty
-    parse is not_found.
+    A transport-level problem keeps its class, any exception raised while
+    parsing a 2xx body is payload_shape, and an empty parse is not_found.
     """
     response = transport.fetch(request)
-    latency_ms += response.latency_ms
     failure = _response_failure(response)
     if failure is None:
         try:
@@ -391,9 +389,9 @@ def _fetch_parsed(source: str, query: Query, transport: Transport, request: Http
                                    failure.retryable)
         else:
             if parsed:
-                return parsed, latency_ms
+                return parsed
             failure = classify_failure(response.status, "empty")
-    return QueryOutcome(source=source, query=query, failure=failure, latency_ms=latency_ms)
+    return QueryOutcome(source=source, query=query, failure=failure)
 
 
 def _response_failure(response: RawResponse) -> FailureClass | None:
@@ -430,25 +428,22 @@ def query_source(source: str, query: Query, transport: Transport,
                             failure=make_failure("transport", str(exc)))
     if isinstance(result, QueryOutcome):
         return result
-    records, latency_ms = result
-    return QueryOutcome(source=source, query=query, records=tuple(records),
-                        latency_ms=latency_ms)
+    return QueryOutcome(source=source, query=query, records=tuple(result))
 
 
 def _query_pubmed(query: Query, transport: Transport,
-                  config: SourceConfig) -> tuple[list, int] | QueryOutcome:
+                  config: SourceConfig) -> list | QueryOutcome:
     if query.kind == "pmid_lookup":
-        ids, latency_ms = [query.text], 0
+        ids = [query.text]
     else:
-        search = _fetch_parsed("pubmed", query, transport,
-                               pubmed_esearch_request(query, config),
-                               lambda body, kind, key: parse_pubmed_esearch(body))
-        if isinstance(search, QueryOutcome):
-            return search
-        ids, latency_ms = search
+        ids = _fetch_parsed("pubmed", query, transport,
+                            pubmed_esearch_request(query, config),
+                            lambda body, kind, key: parse_pubmed_esearch(body))
+        if isinstance(ids, QueryOutcome):
+            return ids
         ids = ids[: query.limit]
     return _fetch_parsed("pubmed", query, transport, pubmed_esummary_request(ids, config),
-                         lambda body, kind, key: parse_pubmed_esummary(body, key), latency_ms)
+                         lambda body, kind, key: parse_pubmed_esummary(body, key))
 
 
 def sort_candidates(records: list[CandidateRecord]) -> list[CandidateRecord]:

@@ -131,7 +131,6 @@ class QueryOutcome:
     query: Query
     records: tuple[CandidateRecord, ...] | None = None
     failure: FailureClass | None = None
-    latency_ms: int = 0
 
     def __post_init__(self) -> None:
         if (self.records is None) == (self.failure is None):
@@ -142,12 +141,10 @@ class QueryOutcome:
         return self.records is not None
 
     def digest(self) -> dict:
-        """Compact evidence form for verdict traces and reports."""
-        out: dict = {"source": self.source, "query": self.query.to_dict(),
-                     "latency_ms": self.latency_ms}
+        """Compact evidence form for reports; the evidence step holds the query."""
+        out: dict = {"source": self.source}
         if self.records is not None:
             out["result"] = "ok"
-            out["record_count"] = len(self.records)
             out["record_ids"] = [r.source_id for r in self.records]
         else:
             assert self.failure is not None

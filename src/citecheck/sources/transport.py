@@ -57,7 +57,6 @@ class RawResponse:
     body: bytes
     headers: tuple[tuple[str, str], ...] = ()
     io_error: str | None = None
-    latency_ms: int = 0
 
 
 def request_key(request: HttpRequest) -> str:
@@ -70,6 +69,26 @@ def _fixture_path(fixtures_dir: Path, key: str) -> Path:
     return fixtures_dir / f"{digest}.json"
 
 
+def _recorded_response(record) -> RawResponse:
+    """The response in a record `FixtureStore.save` wrote; ValueError for any other shape."""
+    if not isinstance(record, dict):
+        raise ValueError("not a JSON object")
+    if "io_error" in record:
+        if not isinstance(record["io_error"], str):
+            raise ValueError("io_error is not a string")
+        return RawResponse(status=None, body=b"", io_error=record["io_error"])
+    status, headers = record.get("status"), record.get("headers")
+    if not ("status" in record and (status is None or type(status) is int)
+            and isinstance(headers, dict) and all(isinstance(v, str) for v in headers.values())):
+        raise ValueError("status is not an integer or null, or headers not strings")
+    headers = tuple(sorted(headers.items()))
+    if isinstance(record.get("body_b64"), str):
+        return RawResponse(status, base64.b64decode(record["body_b64"], validate=True), headers)
+    if isinstance(record.get("body"), str):
+        return RawResponse(status, record["body"].encode("utf-8"), headers)
+    raise ValueError("neither body nor body_b64 is a string")
+
+
 class FixtureStore:
     """One JSON file per request-key hash; bodies preserved bit-exactly."""
 
@@ -77,18 +96,14 @@ class FixtureStore:
         self.directory = Path(directory)
 
     def load(self, key: str) -> RawResponse:
+        """The response recorded for `key`; FixtureMissing if none is, or it is unreadable."""
         path = _fixture_path(self.directory, key)
         if not path.is_file():
             raise FixtureMissing(key)
-        data = json.loads(path.read_text(encoding="utf-8"))
-        if data.get("io_error"):
-            return RawResponse(status=None, body=b"", io_error=data["io_error"])
-        if "body_b64" in data:
-            body = base64.b64decode(data["body_b64"])
-        else:
-            body = data.get("body", "").encode("utf-8")
-        headers = tuple(sorted((data.get("headers") or {}).items()))
-        return RawResponse(status=data.get("status"), body=body, headers=headers)
+        try:
+            return _recorded_response(json.loads(path.read_text(encoding="utf-8")))
+        except (OSError, ValueError, RecursionError) as exc:
+            raise FixtureMissing(key, f"unreadable fixture file ({exc})") from exc
 
     def save(self, key: str, response: RawResponse) -> Path:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -111,9 +126,6 @@ class FixtureStore:
         path.write_text(json.dumps(record, indent=2, ensure_ascii=False) + "\n",
                         encoding="utf-8")
         return path
-
-    def has(self, key: str) -> bool:
-        return _fixture_path(self.directory, key).is_file()
 
 
 class Transport:
@@ -146,7 +158,6 @@ class LiveTransport(Transport):
     def _attempt(self, request: HttpRequest) -> RawResponse:
         params = dict(request.params)
         params.update(dict(request.auth_params))
-        started = time.monotonic()
         try:
             resp = self.session.get(
                 request.url,
@@ -155,14 +166,10 @@ class LiveTransport(Transport):
                 timeout=self.timeout_s,
             )
         except requests.RequestException as exc:
-            latency = int((time.monotonic() - started) * 1000)
-            return RawResponse(status=None, body=b"", io_error=f"{type(exc).__name__}: {exc}",
-                               latency_ms=latency)
-        latency = int((time.monotonic() - started) * 1000)
+            return RawResponse(status=None, body=b"", io_error=f"{type(exc).__name__}: {exc}")
         headers = tuple(sorted((k.lower(), v) for k, v in resp.headers.items()
                                if k.lower() in ("content-type",)))
-        return RawResponse(status=resp.status_code, body=resp.content,
-                           headers=headers, latency_ms=latency)
+        return RawResponse(status=resp.status_code, body=resp.content, headers=headers)
 
     def fetch(self, request: HttpRequest) -> RawResponse:
         response = self._attempt(request)
@@ -182,7 +189,7 @@ def _is_retryable(response: RawResponse) -> bool:
 
 
 class ReplayTransport(Transport):
-    """Serve recorded fixtures only; zero socket operations, zero latency."""
+    """Serve recorded fixtures only; zero socket operations."""
 
     def __init__(self, store: FixtureStore):
         self.store = store

@@ -155,3 +155,17 @@ def test_analyze_nonjson_format_renders_from_verdicts(corpus_paths, capsys):
     out = capsys.readouterr().out
     assert out.startswith("%0 Journal Article")
     assert out.count("%0 ") == 5
+
+
+@pytest.mark.parametrize("variable,value,message", [
+    ("CITECHECK_TRANSPORT", "bogus", "unknown transport mode: bogus"),
+    ("CITECHECK_ENABLED_SOURCES", "foo", "unknown source in configuration: foo"),
+])
+def test_bad_source_config_in_environment_exits_2(tmp_path, capsys, monkeypatch,
+                                                   variable, value, message):
+    (tmp_path / "refs.bib").write_text("@misc{k, title={T}}\n")
+    monkeypatch.setenv(variable, value)
+    assert run(["analyze", "--path", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"citecheck: ConfigError: {message}\n"

@@ -193,8 +193,7 @@ def test_replay_returns_identical_bytes(tmp_path):
     store.save(request_key(request), RawResponse(status=200, body=body))
     transport = ReplayTransport(store)
     assert transport.fetch(request).body == body
-    assert transport.fetch(request).body == body
-    assert transport.fetch(request).latency_ms == 0
+    assert transport.fetch(request) == transport.fetch(request)
 
 
 def test_replay_missing_fixture_names_key(tmp_path):
@@ -271,7 +270,8 @@ def test_doi_lookup_replays_fixture(corpus_paths):
                            _replay(corpus_paths), CONFIG)
     assert outcome.ok
     assert outcome.records[0].doi == spec.doi
-    assert outcome.latency_ms == 0
+    assert outcome == query_source("crossref", Query(kind="doi_lookup", text=spec.doi),
+                                   _replay(corpus_paths), CONFIG)
 
 
 def test_rate_limited_fixture_maps_to_rate_limit(corpus_paths, tmp_path):
@@ -293,6 +293,34 @@ def test_truncated_body_maps_to_payload_shape(tmp_path):
     outcome = query_source("crossref", query, ReplayTransport(store), CONFIG)
     assert outcome.failure.failure == "payload_shape"
     assert not outcome.failure.retryable
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    pytest.param("[" * 100_000, id="nested-past-the-recursion-limit"),
+    '{"status": "x"}',
+    "[]",
+    '{"headers": {}, "body": "{}"}',
+    '{"status": true, "headers": {}, "body": "{}"}',
+    '{"status": 200, "headers": {}, "body": 5}',
+    '{"status": 200, "headers": {"content-type": 1}, "body": "{}"}',
+    '{"status": 200, "headers": {}, "body_b64": "!!"}',
+    '{"io_error": 3}',
+])
+def test_unreadable_fixture_is_a_retryable_transport_failure(tmp_path, text):
+    """A fixture file that `save` could not have written is asked again, not parsed."""
+    store = FixtureStore(tmp_path)
+    query = Query(kind="title_search", text="corrupt fixture probe")
+    request = crossref_request(query, CONFIG)
+    store.save(request_key(request), RawResponse(status=200, body=b'{"message": {}}'))
+    path = next(tmp_path.iterdir())
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FixtureMissing, match="unreadable fixture file"):
+        store.load(request_key(request))
+    outcome = query_source("crossref", query, ReplayTransport(store), CONFIG)
+    assert outcome.failure.failure == "transport"
+    assert outcome.failure.retryable
+    assert "unreadable fixture file" in outcome.failure.detail
 
 
 def test_disabled_source_is_programming_error(corpus_paths):

@@ -365,3 +365,19 @@ def test_source_health_equal_with_and_without_carry(corpus_paths, fetches):
         "rate_limit", "transport", "authentication", "payload_shape"}
     assert json.loads(carried)["source_health"] == health
     assert carried == fresh
+
+
+@pytest.mark.parametrize("variable,value", [("CITECHECK_TRANSPORT", "bogus"),
+                                            ("CITECHECK_ENABLED_SOURCES", "foo")])
+def test_bad_source_config_in_environment_is_config_error(tmp_path, monkeypatch,
+                                                          variable, value):
+    (tmp_path / "refs.bib").write_text("@misc{k, title={T}}\n")
+    monkeypatch.setenv(variable, value)
+    responses = _exchange([_call("analyze_references", {"path": str(tmp_path)}),
+                           {"jsonrpc": "2.0", "id": 8, "method": "tools/list"}])
+    result = responses[0]["result"]
+    assert result["isError"] is True
+    error = json.loads(result["content"][0]["text"])["error"]
+    assert error["type"] == "ConfigError"
+    assert value in error["message"]
+    assert len(responses[1]["result"]["tools"]) == 6

@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import json
+import time
+from types import SimpleNamespace
+from urllib.parse import urlsplit
 
+import pytest
 import requests
 
-from citecheck.pipeline import RunOptions, report_json, run_repair
-from citecheck.sources import config_from_env
+from citecheck import pipeline
+from citecheck.errors import FixtureMissing
+from citecheck.pipeline import RunOptions, render_output, report_json, run_repair
+from citecheck.rewrite import RENDER_FORMATS
+from citecheck.sources import FixtureStore, LiveTransport, config_from_env
+from citecheck.sources.transport import HttpRequest
 
 
 def _options(corpus_paths, path, **overrides) -> RunOptions:
@@ -49,15 +57,68 @@ def test_report_carries_every_required_component(corpus_paths):
                                                "applied", "blocked")
     assert "key_mapping" in report["plan"]
     assert report["plan"]["plan_digest"]
-    assert set(report["plan"]["rendered"]) == {"json", "bibtex", "text",
-                                               "markdown", "endnote"}
+    # Renderings come from `format`, not from the report.
+    assert "rendered" not in report["plan"]
 
 
-def test_replay_latency_is_zero_everywhere(corpus_paths):
+def test_evidence_outcomes_hold_no_query_latency_or_count(corpus_paths):
+    """The evidence step holds the query; record_ids give the count; no timing."""
     report = run_repair(_options(corpus_paths, corpus_paths["main"])).report
-    for entry in report["entries"]:
-        for item in entry["evidence"]:
-            assert item["outcome"]["latency_ms"] == 0
+    outcomes = [item["outcome"] for entry in report["entries"] for item in entry["evidence"]]
+    assert outcomes
+    for outcome in outcomes:
+        assert not {"query", "latency_ms", "record_count"} & set(outcome)
+
+
+class _SlowReplaySession:
+    """A requests.Session stand-in: the recorded answer to each request, after `delay_s`."""
+
+    SOURCE_BY_HOST = {"api.crossref.org": "crossref", "eutils.ncbi.nlm.nih.gov": "pubmed",
+                      "export.arxiv.org": "arxiv",
+                      "api.semanticscholar.org": "semantic_scholar"}
+
+    def __init__(self, store: FixtureStore, delay_s: float):
+        self.store, self.delay_s, self.calls = store, delay_s, 0
+
+    def get(self, url, params=None, headers=None, timeout=None):
+        self.calls += 1
+        time.sleep(self.delay_s)
+        key = HttpRequest(source=self.SOURCE_BY_HOST[urlsplit(url).hostname], url=url,
+                          params=tuple((params or {}).items())).key
+        try:
+            recorded = self.store.load(key)
+        except FixtureMissing:
+            return SimpleNamespace(status_code=404, content=b"", headers={})
+        if recorded.io_error is not None:
+            raise requests.ConnectionError(recorded.io_error)
+        return SimpleNamespace(status_code=recorded.status, content=recorded.body,
+                               headers=dict(recorded.headers))
+
+
+def test_live_reports_are_deterministic(corpus_paths, monkeypatch):
+    """The same answers after different delays give byte-identical live reports."""
+    store = FixtureStore(corpus_paths["fixtures"])
+    payloads = []
+    for delay_s in (0.0, 0.004):
+        session = _SlowReplaySession(store, delay_s)
+        monkeypatch.setattr(pipeline, "make_transport", lambda mode, fixtures_dir: (
+            LiveTransport(session=session, sleep=lambda seconds: None)))
+        run = run_repair(_options(corpus_paths, corpus_paths["main"], transport="live"))
+        assert session.calls and run.report["config"]["transport"] == "live"
+        assert any(entry["status"] == "verified" for entry in run.report["entries"])
+        payloads.append(report_json(run.report))
+    assert payloads[0] == payloads[1]
+
+
+@pytest.mark.parametrize("folder", ["main", "mixed"])
+@pytest.mark.parametrize("fmt", [f for f in RENDER_FORMATS if f != "json"])
+def test_every_stage_renders_the_same_bibliography(corpus_paths, folder, fmt):
+    """One rendering path: plan and repair print what analyze prints."""
+    options = _options(corpus_paths, corpus_paths[folder], mode="replacement", fmt=fmt)
+    analyzed = render_output(run_repair(options, stage="analyze"), fmt)
+    assert analyzed
+    for stage in ("plan", "repair"):
+        assert render_output(run_repair(options, stage=stage), fmt) == analyzed
 
 
 def test_report_paths_are_relative_forward_slash(corpus_paths):

@@ -194,8 +194,7 @@ def test_review_mode_plans_zero_patches(corpus_paths):
                                   mode="review")
     assert plan.patches == ()
     assert not plan.blocked
-    assert set(plan.rendered) == {"json", "bibtex", "text", "markdown", "endnote"}
-    assert plan.rendered["bibtex"]  # rendered outputs still produced
+    assert not hasattr(plan, "rendered")  # renderings come from render_output
 
 
 def test_correct_entries_produce_no_patches(corpus_paths):
@@ -531,7 +530,7 @@ def test_replace_checks_every_backup_before_writing(tmp_path):
         mode="replacement",
         patches=tuple(Patch(str(path), (17, 21), "2020", n, "field_update")
                       for n, path in enumerate((first, second), 1)),
-        key_mapping=KeyMapping(), rendered={}, safety={},
+        key_mapping=KeyMapping(), safety={},
         content_digests=tuple((str(p), file_digest(p.read_bytes())) for p in (first, second)),
         encodings=((str(first), "utf-8"), (str(second), "utf-8")))
     with pytest.raises(WriteDenied):

@@ -46,10 +46,6 @@ class FixtureMissing(CitecheckError):
         self.request_key = request_key
 
 
-class NoQueryPossible(CitecheckError):
-    """Entry has neither identifiers nor a title (precluded upstream, asserted anyway)."""
-
-
 class AlignmentMismatch(CitecheckError):
     """Verdict list does not align 1:1 with extraction entries (programming error)."""
 

@@ -133,7 +133,7 @@ def _extract_tex(path: Path) -> ExtractionResult:
     resources = latex_mod.resolve_tex_bib_resources(text, path.parent)
     result.bib_resources = [str(p) for p in resources]
     missing = [name for name in latex_mod.named_bib_resources(text)
-               if not any(Path(r).name == name for r in result.bib_resources)]
+               if not (path.parent / name).is_file()]
     for name in missing:
         result.lint.append(LintFinding(
             code="missing_field",

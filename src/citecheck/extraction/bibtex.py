@@ -23,8 +23,7 @@ _NUMBER_RE = re.compile(r"\d+")
 class BibField:
     name: str  # lowercased
     value: str  # macro-expanded, delimiters stripped
-    raw_value: str  # exact source slice incl. delimiters
-    value_span: tuple[int, int]  # span of raw_value
+    value_span: tuple[int, int]  # source span of the value, delimiters included
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,6 @@ class BibEntry:
     key_span: tuple[int, int]
     span: tuple[int, int]  # full entry, "@" through closing delimiter
     fields: tuple[BibField, ...]
-    body_close: int  # offset of the entry's closing delimiter
 
     def field_map(self) -> dict[str, str]:
         # First occurrence wins, matching common BibTeX tool behavior.
@@ -200,7 +198,7 @@ def _read_quoted(sc: _Scanner) -> str:
     raise _SyntaxError(start, "unterminated quoted value")
 
 
-def _read_value(sc: _Scanner, strings: dict[str, str]) -> tuple[str, str, tuple[int, int]]:
+def _read_value(sc: _Scanner, strings: dict[str, str]) -> tuple[str, tuple[int, int]]:
     """One field value: concatenation of parts joined by '#'."""
     sc.skip_ws()
     start = sc.pos
@@ -229,7 +227,7 @@ def _read_value(sc: _Scanner, strings: dict[str, str]) -> tuple[str, str, tuple[
             continue
         sc.pos = save
         break
-    return "".join(parts), sc.text[start:sc.pos], (start, sc.pos)
+    return "".join(parts), (start, sc.pos)
 
 
 def _parse_string(text: str, at: int, m: re.Match[str], result: BibFile) -> int:
@@ -244,7 +242,7 @@ def _parse_string(text: str, at: int, m: re.Match[str], result: BibFile) -> int:
     sc.pos = name_m.end()
     sc.skip_ws()
     sc.expect("=")
-    value, _, _ = _read_value(sc, result.strings)
+    value, _ = _read_value(sc, result.strings)
     sc.skip_ws()
     sc.expect(close_ch)
     result.strings[name] = value
@@ -284,9 +282,8 @@ def _parse_entry(text: str, at: int, m: re.Match[str],
         sc.pos = name_m.end()
         sc.skip_ws()
         sc.expect("=")
-        value, raw_value, value_span = _read_value(sc, strings)
-        fields.append(BibField(name=name, value=_clean_value(value),
-                               raw_value=raw_value, value_span=value_span))
+        value, value_span = _read_value(sc, strings)
+        fields.append(BibField(name=name, value=_clean_value(value), value_span=value_span))
 
     entry = BibEntry(
         entry_type=m.group(1).lower(),
@@ -294,7 +291,6 @@ def _parse_entry(text: str, at: int, m: re.Match[str],
         key_span=key_span,
         span=(at, sc.pos),
         fields=tuple(fields),
-        body_close=sc.pos - 1,
     )
     return entry, sc.pos
 

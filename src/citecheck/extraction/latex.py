@@ -49,15 +49,13 @@ def strip_comments(tex_source: str) -> str:
     return "".join(out)
 
 
-def resolve_tex_bib_resources(tex_source: str, base_dir: str | Path) -> list[Path]:
-    """Existing .bib files named by \\bibliography / \\addbibresource.
+def named_bib_resources(tex_source: str) -> list[str]:
+    """Names given to \\bibliography / \\addbibresource, whether or not they exist.
 
     Names from ``\\bibliography{a,b}`` get ``.bib`` appended when missing.
     Results keep first-appearance order, deduplicated; commented-out
-    commands are ignored; missing files are simply not returned (callers
-    lint them).
+    commands are ignored.
     """
-    base = Path(base_dir)
     cleaned = strip_comments(tex_source)
     named: list[str] = []
     matches = sorted(
@@ -67,36 +65,16 @@ def resolve_tex_bib_resources(tex_source: str, base_dir: str | Path) -> list[Pat
     for m in matches:
         for name in m.group(1).split(","):
             name = name.strip()
-            if not name:
-                continue
-            if not name.endswith(".bib"):
-                name += ".bib"
-            if name not in named:
-                named.append(name)
-    resolved: list[Path] = []
-    for name in named:
-        path = (base / name)
-        if path.is_file() and path not in resolved:
-            resolved.append(path)
-    return resolved
+            if name:
+                named.append(name if name.endswith(".bib") else name + ".bib")
+    return list(dict.fromkeys(named))
 
 
-def named_bib_resources(tex_source: str) -> list[str]:
-    """All names mentioned by bibliography commands, whether or not they exist."""
-    cleaned = strip_comments(tex_source)
-    named: list[str] = []
-    matches = sorted(
-        list(_BIBLIOGRAPHY_RE.finditer(cleaned)) + list(_ADDBIBRESOURCE_RE.finditer(cleaned)),
-        key=lambda m: m.start(),
-    )
-    for m in matches:
-        for name in m.group(1).split(","):
-            name = name.strip()
-            if name and not name.endswith(".bib"):
-                name += ".bib"
-            if name and name not in named:
-                named.append(name)
-    return named
+def resolve_tex_bib_resources(tex_source: str, base_dir: str | Path) -> list[Path]:
+    """The named .bib files that exist under `base_dir`, in naming order;
+    missing ones are simply not returned (callers lint them)."""
+    paths = dict.fromkeys(Path(base_dir) / name for name in named_bib_resources(tex_source))
+    return [path for path in paths if path.is_file()]
 
 
 @dataclass(frozen=True)

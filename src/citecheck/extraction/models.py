@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .. import textnorm
+
 ORIGIN_FORMATS = ("bibtex", "tex", "markdown", "plaintext", "docx")
 ENTRY_KINDS = ("journal", "conference", "preprint", "book", "other", "unknown")
 LINT_CODES = ("missing_field", "malformed_doi", "duplicate_key",
@@ -75,14 +77,7 @@ class ReferenceInput:
         return self.raw.citation_key
 
     def identifier_map(self) -> dict[str, str]:
-        ids: dict[str, str] = {}
-        if self.doi:
-            ids["doi"] = self.doi
-        if self.pmid:
-            ids["pmid"] = self.pmid
-        if self.arxiv_id:
-            ids["arxiv"] = self.arxiv_id
-        return ids
+        return textnorm.identifier_map(self.doi, self.pmid, self.arxiv_id)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .extraction.models import ReferenceInput
-from .matching import Issue, MatchCluster, MatchScore, score_match
+from .matching import Issue, MatchCluster, MatchScore, _member_key
 from .sources import CandidateRecord
 
 # Fixed, not configurable. Book chapters and reports have no slot in the
@@ -31,14 +31,9 @@ _SOURCE_TIE_ORDER = {"crossref": 0, "pubmed": 1, "arxiv": 2, "semantic_scholar":
 class ManifestationSet:
     work_members: tuple[CandidateRecord, ...]
     preferred: CandidateRecord | None
-    cited_kind: str
     conflict: bool
     cited_member: CandidateRecord | None = None
     member_scores: tuple[tuple[str, MatchScore], ...] = ()
-
-
-def _member_key(record: CandidateRecord) -> str:
-    return f"{record.source}:{record.source_id}"
 
 
 def _linked_component(cluster: MatchCluster, anchor: CandidateRecord) -> list[CandidateRecord]:
@@ -73,10 +68,8 @@ def _cited_member(entry: ReferenceInput,
 def _pick_preferred(members: list[CandidateRecord],
                     scores: dict[str, MatchScore]) -> CandidateRecord:
     def sort_key(record: CandidateRecord):
-        score = scores.get(_member_key(record))
-        confidence = score.confidence if score else 0.0
         return (-PREFERENCE_RANK[record.manifestation_kind],
-                -confidence,
+                -scores[_member_key(record)].confidence,
                 _SOURCE_TIE_ORDER.get(record.source, 99),
                 record.source_id)
     return sorted(members, key=sort_key)[0]
@@ -87,11 +80,7 @@ def group_manifestations(cluster: MatchCluster, entry: ReferenceInput) -> Manife
     if not cluster.members:
         raise ValueError("cluster must be non-empty")
     work_members = _linked_component(cluster, cluster.best_member)
-    scores = dict(cluster.member_scores)
-    for member in work_members:  # clustering has scored them all already
-        key = _member_key(member)
-        if key not in scores:
-            scores[key] = score_match(entry, member)
+    scores = dict(cluster.member_scores)  # clustering scores every member
     preferred = _pick_preferred(work_members, scores)
     cited = _cited_member(entry, work_members)
     conflict = (
@@ -103,7 +92,6 @@ def group_manifestations(cluster: MatchCluster, entry: ReferenceInput) -> Manife
     return ManifestationSet(
         work_members=tuple(work_members),
         preferred=preferred,
-        cited_kind=entry.entry_kind,
         conflict=conflict,
         cited_member=cited,
         member_scores=tuple(sorted(scores.items())),

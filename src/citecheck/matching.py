@@ -25,7 +25,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from . import textnorm
-from .errors import NoQueryPossible
 from .extraction.models import ReferenceInput
 from .sources import (CandidateRecord, Query, QueryOutcome, SourceConfig, Transport,
                       query_source, sort_candidates, supports)
@@ -273,61 +272,36 @@ def relaxed_query_text(title: str) -> str:
     return " ".join(words[:RELAXED_QUERY_WORDS])
 
 
-def build_pass_query(entry: ReferenceInput, pass_number: int,
-                     limit: int = DEFAULT_QUERY_LIMIT) -> Query:
-    """Canonical query for a retrieval pass, independent of source capability.
+def source_pass_query(entry: ReferenceInput, pass_number: int, source: str,
+                      limit: int = DEFAULT_QUERY_LIMIT) -> Query | None:
+    """The query `source` gets for `entry` in a retrieval pass, or None when
+    the source has nothing to contribute.
 
-    Pass 1 is the most direct: an identifier lookup when the entry has one
-    (doi, then pmid, then arXiv), else a full-title search. Pass 2 narrows
-    by first-author family name and year; pass 3 relaxes to the leading
-    content words. Identifier-only entries degrade to their pass-1 query.
+    Pass 1 is the most direct: a lookup of the first identifier, in
+    `identifier_map` order (doi, then pmid, then arXiv), that the source
+    supports, else a full-title search, so an arXiv-cited entry still
+    reaches Crossref by title. Pass 2 narrows by first-author family name
+    and year; pass 3 relaxes to the leading content words, and a title with
+    none gets no pass-3 query. A title-less entry repeats its pass-1 query.
     """
     if pass_number not in (1, 2, 3):
         raise ValueError(f"pass must be 1..3, got {pass_number}")
-    ids = entry.identifier_map()
-    if not ids and not entry.title:
-        raise NoQueryPossible(f"entry #{entry.ordinal} has no identifiers and no title")
-
-    if pass_number == 1 or not entry.title:
-        if "doi" in ids:
-            return Query(kind="doi_lookup", text=ids["doi"], limit=limit)
-        if "pmid" in ids:
-            return Query(kind="pmid_lookup", text=ids["pmid"], limit=limit)
-        if "arxiv" in ids:
-            return Query(kind="arxiv_lookup", text=ids["arxiv"], limit=limit)
-        return Query(kind="title_search", text=entry.title, limit=limit)
-    if pass_number == 2:
-        if entry.authors:
-            family = entry.authors[0][0]
-            return Query(kind="title_author_search", text=f"{entry.title} {family}",
-                         year=entry.year, limit=limit)
-        return Query(kind="title_search", text=entry.title, year=entry.year, limit=limit)
-    return Query(kind="relaxed_search", text=relaxed_query_text(entry.title),
-                 year=entry.year, limit=limit)
-
-
-def source_pass_query(entry: ReferenceInput, pass_number: int, source: str,
-                      limit: int = DEFAULT_QUERY_LIMIT) -> Query | None:
-    """The most direct pass query *this source* can serve.
-
-    Pass 1 walks the identifier chain filtered by source capability and
-    falls back to a title search, so e.g. an arXiv-cited entry still
-    reaches Crossref by title in the same pass. Later passes are text
-    searches every source supports. None means the source has nothing to
-    contribute for this entry.
-    """
-    generic = build_pass_query(entry, pass_number, limit=limit)
-    if supports(source, generic.kind):
-        return generic
-    if generic.kind in ("doi_lookup", "pmid_lookup", "arxiv_lookup"):
-        ids = entry.identifier_map()
-        for id_kind, query_kind in (("doi", "doi_lookup"), ("pmid", "pmid_lookup"),
-                                    ("arxiv", "arxiv_lookup")):
-            if id_kind in ids and supports(source, query_kind):
-                return Query(kind=query_kind, text=ids[id_kind], limit=limit)
-        if entry.title:
-            return Query(kind="title_search", text=entry.title, limit=limit)
-    return None
+    title = entry.title
+    if pass_number == 1 or not title:
+        for kind, value in entry.identifier_map().items():
+            if supports(source, f"{kind}_lookup"):
+                return Query(kind=f"{kind}_lookup", text=value, limit=limit)
+        query = Query(kind="title_search", text=title, limit=limit) if title else None
+    elif pass_number == 2 and entry.authors:
+        query = Query(kind="title_author_search", text=f"{title} {entry.authors[0][0]}",
+                      year=entry.year, limit=limit)
+    elif pass_number == 2:
+        query = Query(kind="title_search", text=title, year=entry.year, limit=limit)
+    else:
+        relaxed = relaxed_query_text(title)
+        query = (Query(kind="relaxed_search", text=relaxed, year=entry.year, limit=limit)
+                 if relaxed else None)
+    return query if query is not None and supports(source, query.kind) else None
 
 
 # --------------------------------------------------------------------------

@@ -15,16 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .extraction.models import LintFinding
-from .matching import EntryVerdict
+from .matching import STATUSES, EntryVerdict
+from .sources.models import TRANSIENT_FAILURES
 
 EXIT_PASS = 0
 EXIT_POLICY_FAIL = 1
 EXIT_OPERATIONAL_FAIL = 2
-
-_STATUSES = ("verified", "needs_review", "unresolved", "not_checked")
-
-# Transient classes: operational trouble rather than content trouble.
-_TRANSIENT = frozenset({"transport", "rate_limit"})
 
 
 @dataclass(frozen=True)
@@ -113,7 +109,7 @@ def summarize_batch(verdicts: list[EntryVerdict],
     all ratios 0.
     """
     total = len(verdicts)
-    counts = {status: 0 for status in _STATUSES}
+    counts = {status: 0 for status in STATUSES}
     failures: dict[str, int] = {}
     conflict_count = 0
     for verdict in verdicts:
@@ -155,7 +151,7 @@ def evaluate_policy(summary: BatchSummary, preset: PolicyPreset) -> PolicyDecisi
 
     auth_failures = summary.failure_count("authentication")
     failure_classes = {k for k, v in summary.failures_by_class if v > 0}
-    all_transient = failure_classes <= _TRANSIENT
+    all_transient = failure_classes <= TRANSIENT_FAILURES
 
     if preset.fail_on_auth_failure and auth_failures > 0:
         exit_code = EXIT_OPERATIONAL_FAIL

@@ -259,8 +259,8 @@ def plan_rewrite(artifact_path: str | Path, extraction: ExtractionResult,
     Review mode always plans zero patches (report only). Replacement mode
     plans patches for replacement-eligible entries whose chosen record
     differs from the cited fields, unless the policy decision blocked
-    replacement, in which case the plan is empty and its safety counts say
-    why. Key renames require an explicitly requested, collision-free,
+    replacement, in which case the plan is empty and its safety counts,
+    taken from the policy's summary, say why. Key renames require an explicitly requested, collision-free,
     fully-resolved mapping.
     """
     if len(verdicts) != len(extraction.entries) or any(
@@ -272,13 +272,10 @@ def plan_rewrite(artifact_path: str | Path, extraction: ExtractionResult,
 
     pairs = eligible_pairs(verdicts, policy.preset.allow_replacement_with_needs_review)
 
-    safety = {
-        "duplicate_keys": sum(1 for f in extraction.lint if f.code == "duplicate_key"),
-        "unsafe_key_rewrites": key_mapping.unsafe_rewrite_count(),
-        "manifestation_conflicts": sum(
-            1 for v in verdicts
-            if any(i.code == "manifestation_conflict" for i in v.issues)),
-    }
+    summary = policy.summary
+    safety = {"duplicate_keys": summary.duplicate_key_count,
+              "unsafe_key_rewrites": summary.unsafe_key_rewrite_count,
+              "manifestation_conflicts": summary.manifestation_conflict_count}
 
     # path -> (bytes, codec): read once, hashed, and planned over.
     files: dict[str, tuple[bytes, str]] = {}

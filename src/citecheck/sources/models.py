@@ -4,12 +4,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import textnorm
+
 SOURCES = ("pubmed", "crossref", "arxiv", "semantic_scholar")
 
 QUERY_KINDS = ("doi_lookup", "pmid_lookup", "arxiv_lookup",
                "title_search", "title_author_search", "relaxed_search")
 
 FAILURE_CLASSES = ("transport", "authentication", "rate_limit", "payload_shape", "not_found")
+
+# Transient classes: operational trouble rather than content trouble, and
+# the only ones worth retrying.
+TRANSIENT_FAILURES = frozenset({"transport", "rate_limit"})
 
 MANIFESTATION_KINDS = ("journal", "conference", "preprint", "unknown")
 
@@ -77,14 +83,7 @@ class CandidateRecord:
                 raise ValueError(f"{name} must be a string, got {value!r}")
 
     def identifier_map(self) -> dict[str, str]:
-        ids: dict[str, str] = {}
-        if self.doi:
-            ids["doi"] = self.doi
-        if self.pmid:
-            ids["pmid"] = self.pmid
-        if self.arxiv_id:
-            ids["arxiv"] = self.arxiv_id
-        return ids
+        return textnorm.identifier_map(self.doi, self.pmid, self.arxiv_id)
 
     def all_identifiers(self) -> frozenset[tuple[str, str]]:
         """Direct identifiers plus related-id assertions, for linkage."""
@@ -120,9 +119,8 @@ class FailureClass:
 
 
 def make_failure(failure: str, detail: str) -> FailureClass:
-    """FailureClass with retryability fixed by class (transport/rate_limit only)."""
-    return FailureClass(failure=failure, detail=detail,
-                        retryable=failure in ("transport", "rate_limit"))
+    """FailureClass, retryable exactly when its class is transient."""
+    return FailureClass(failure=failure, detail=detail, retryable=failure in TRANSIENT_FAILURES)
 
 
 @dataclass(frozen=True)

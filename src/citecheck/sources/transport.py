@@ -132,10 +132,6 @@ class Transport:
     def fetch(self, request: HttpRequest) -> RawResponse:
         raise NotImplementedError
 
-    @property
-    def mode(self) -> str:
-        raise NotImplementedError
-
 
 class LiveTransport(Transport):
     """Real HTTP with bounded retries (full-jitter exponential backoff).
@@ -150,10 +146,6 @@ class LiveTransport(Transport):
         self.session = session or requests.Session()
         self._sleep = sleep
         self._rng = rng or random.Random()
-
-    @property
-    def mode(self) -> str:
-        return "live"
 
     def _attempt(self, request: HttpRequest) -> RawResponse:
         params = dict(request.params)
@@ -194,10 +186,6 @@ class ReplayTransport(Transport):
     def __init__(self, store: FixtureStore):
         self.store = store
 
-    @property
-    def mode(self) -> str:
-        return "replay"
-
     def fetch(self, request: HttpRequest) -> RawResponse:
         return self.store.load(request_key(request))
 
@@ -209,26 +197,21 @@ class RecordTransport(Transport):
         self.store = store
         self.live = live or LiveTransport()
 
-    @property
-    def mode(self) -> str:
-        return "record"
-
     def fetch(self, request: HttpRequest) -> RawResponse:
         response = self.live.fetch(request)
         self.store.save(request_key(request), response)
         return response
 
 
-def make_transport(mode: str, fixtures_dir: str | Path | None = None,
-                   timeout_s: float = 15.0) -> Transport:
+def make_transport(mode: str, fixtures_dir: str | Path | None = None) -> Transport:
     if mode == "live":
-        return LiveTransport(timeout_s=timeout_s)
+        return LiveTransport()
     if fixtures_dir is None:
         raise ConfigError(f"{mode} transport requires a fixtures directory")
     store = FixtureStore(fixtures_dir)
     if mode == "replay":
         return ReplayTransport(store)
     if mode == "record":
-        return RecordTransport(store, live=LiveTransport(timeout_s=timeout_s))
+        return RecordTransport(store)
     raise ConfigError(f"unknown transport mode: {mode}")
 

@@ -109,6 +109,20 @@ def find_arxiv_id(text: str) -> tuple[str, int | None] | None:
     return None
 
 
+def identifier_map(doi: str | None, pmid: str | None,
+                   arxiv_id: str | None) -> dict[str, str]:
+    """The identifiers present, keyed doi, pmid, arxiv: the order in which
+    verification tries them."""
+    ids: dict[str, str] = {}
+    if doi:
+        ids["doi"] = doi
+    if pmid:
+        ids["pmid"] = pmid
+    if arxiv_id:
+        ids["arxiv"] = arxiv_id
+    return ids
+
+
 def normalize_pmid(value: str) -> str | None:
     digits = re.sub(r"^(?:pmid[:\s]*)", "", value.strip(), flags=re.IGNORECASE).strip()
     return digits if digits.isdigit() else None

@@ -79,6 +79,26 @@ def test_analyze_failures_corpus_exits_2(corpus_paths, capsys):
     assert report["summary"]["ratios"]["not_checked"] == 1.0
 
 
+def test_title_without_content_words_gets_a_report(tmp_path, capsys):
+    """Titles of stop words only or of non-Latin words have no relaxed
+    pass-3 query: with no source answering, the entries escalate through
+    all three passes and the run ends in a report, not a traceback."""
+    paper, fixtures = tmp_path / "paper", tmp_path / "fixtures"
+    paper.mkdir()
+    fixtures.mkdir()
+    (paper / "refs.bib").write_text(
+        "@article{a, title={The Of And}, author={Doe, Jane}, year={2020}}\n"
+        "@article{b, title={Σύγχρονη φυσική}, author={Doe, Jane}, year={2020}}\n",
+        encoding="utf-8")
+    code = run(["analyze", "--path", str(paper), "--transport", "replay",
+                "--fixtures-dir", str(fixtures)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == report["decision"]["exit_code"]
+    assert [e["passes_used"] for e in report["entries"]] == [3, 3]
+    assert all(step["query"]["kind"] != "relaxed_search"
+               for e in report["entries"] for step in e["evidence"])
+
+
 def test_strict_preset_flips_exit_code(corpus_paths, capsys):
     # The manifestation workspace verifies 0% of entries (1 needs_review),
     # which passes lenient but violates the stricter verified minimums.

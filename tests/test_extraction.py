@@ -118,6 +118,29 @@ def test_missing_bib_files_not_returned(tmp_path):
     assert resolve_tex_bib_resources("\\bibliography{ghost}", tmp_path) == []
 
 
+def _missing_resources(result):
+    return [f.message for f in result.lint if "not found" in f.message]
+
+
+def test_bibliography_in_a_subfolder_is_not_linted_missing(tmp_path):
+    (tmp_path / "bib").mkdir()
+    (tmp_path / "bib" / "refs.bib").write_text("@misc{a, title={Some title}}\n")
+    (tmp_path / "paper.tex").write_text("\\bibliography{bib/refs}\n")
+    result = extract_references(tmp_path / "paper.tex")
+    assert [e.citation_key for e in result.entries] == ["a"]
+    assert _missing_resources(result) == []
+
+
+def test_missing_resource_is_linted_by_its_path_not_its_basename(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "refs.bib").write_text("@misc{a, title={Some title}}\n")
+    (tmp_path / "paper.tex").write_text("\\bibliography{a/refs,refs}\n")
+    result = extract_references(tmp_path / "paper.tex")
+    assert result.bib_resources == [str(tmp_path / "a" / "refs.bib")]
+    assert _missing_resources(result) == [
+        "bibliography resource 'refs.bib' not found next to the manuscript"]
+
+
 def test_strip_comments_preserves_offsets():
     tex = "before % comment\nafter"
     cleaned = strip_comments(tex)

@@ -10,19 +10,19 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import corpus
-from citecheck import manifestations, matching
+from citecheck import matching, textnorm
 from citecheck.extraction import extract_references
 from citecheck.extraction.models import RawReference, ReferenceInput
-from citecheck.matching import (STOP_WORDS, build_pass_query, cluster_join,
+from citecheck.matching import (STOP_WORDS, cluster_join,
                                 dedupe_and_cluster, derive_issues,
                                 relaxed_query_text, score_match, source_pass_query,
                                 title_similarity, verify_entries, verify_entry)
 from citecheck.sources import (CandidateRecord, FixtureStore, ReplayTransport, Transport,
-                               query_source, request_key, summarize_health)
+                               query_source, request_key, summarize_health, supports)
 from citecheck.sources.config import SourceConfig
 from citecheck.sources.models import SOURCES
 
@@ -132,27 +132,27 @@ def test_author_similarity_neutral_when_missing():
 
 def test_pass1_prefers_identifier():
     entry = make_entry(doi="10.1/x", arxiv="2101.00001")
-    query = build_pass_query(entry, 1)
+    query = source_pass_query(entry, 1, "semantic_scholar")
     assert query.kind == "doi_lookup"
     assert query.text == "10.1/x"
 
 
 def test_pass1_title_fallback():
-    query = build_pass_query(make_entry(), 1)
+    query = source_pass_query(make_entry(), 1, "semantic_scholar")
     assert query.kind == "title_search"
     assert query.text == "A study of things"
     assert query.year is None
 
 
 def test_pass2_title_author_with_year_hint():
-    query = build_pass_query(make_entry(), 2)
+    query = source_pass_query(make_entry(), 2, "semantic_scholar")
     assert query.kind == "title_author_search"
     assert query.text == "A study of things Doe"
     assert query.year == 2020
 
 
 def test_pass2_authorless_falls_back_to_title_search():
-    query = build_pass_query(make_entry(authors=()), 2)
+    query = source_pass_query(make_entry(authors=()), 2, "semantic_scholar")
     assert query.kind == "title_search"
     assert query.year == 2020
 
@@ -160,7 +160,7 @@ def test_pass2_authorless_falls_back_to_title_search():
 def test_pass3_relaxed_first_six_content_words():
     title = "On the Rapid Convergence of Stochastic Gradient Methods for Deep Networks"
     entry = make_entry(title=title)
-    query = build_pass_query(entry, 3)
+    query = source_pass_query(entry, 3, "semantic_scholar")
     assert query.kind == "relaxed_search"
     # Hand tokenization: stop words removed, first 6 content words kept.
     assert query.text == "rapid convergence stochastic gradient methods deep"
@@ -181,6 +181,61 @@ def test_source_pass_query_adapts_to_capability():
     arxiv_entry = make_entry(doi=None, arxiv="2101.00001")
     assert source_pass_query(arxiv_entry, 1, "arxiv").kind == "arxiv_lookup"
     assert source_pass_query(arxiv_entry, 1, "pubmed").kind == "title_search"
+
+
+_IDS = {"doi": "10.1/x", "pmid": "12345", "arxiv": "2101.00001"}
+_ID_SUBSETS = [ids for n in range(4) for ids in itertools.combinations(_IDS, n)]
+
+
+def _entry_with(ids, title="A study of things", authors=(("Doe", "Jane"),)):
+    return make_entry(title=title, authors=authors, **{kind: _IDS[kind] for kind in ids})
+
+
+def test_pass1_looks_up_the_first_identifier_the_source_supports():
+    """doi, then pmid, then arXiv, for every identifier subset and source; a
+    title search when the source can look up none of them, and a title-less
+    entry repeats its pass-1 lookup (or sends nothing) in every pass."""
+    for ids, source in itertools.product(_ID_SUBSETS, SOURCES):
+        entry = _entry_with(ids)
+        assert list(entry.identifier_map()) == [k for k in ("doi", "pmid", "arxiv") if k in ids]
+        first = next((k for k in ("doi", "pmid", "arxiv")
+                      if k in ids and supports(source, f"{k}_lookup")), None)
+        query = source_pass_query(entry, 1, source)
+        if first is None:
+            assert (query.kind, query.text) == ("title_search", entry.title)
+        else:
+            assert (query.kind, query.text) == (f"{first}_lookup", _IDS[first])
+        if ids:
+            untitled = _entry_with(ids, title=None)
+            lookup = query if first is not None else None
+            assert [source_pass_query(untitled, n, source) for n in (1, 2, 3)] == [lookup] * 3
+
+
+_TITLES = st.one_of(
+    st.lists(st.sampled_from(sorted(STOP_WORDS)), min_size=1, max_size=8).map(" ".join),
+    st.text(alphabet="Σύγχρονη φυσική量子力学Физика ", max_size=30),
+    st.text(alphabet="!?.,;:-()[]{}'\"/ ", max_size=20),
+    st.text(max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(title=_TITLES, ids=st.sampled_from(_ID_SUBSETS), source=st.sampled_from(SOURCES),
+       pass_number=st.sampled_from((1, 2, 3)),
+       authors=st.sampled_from(((), (("Doe", "Jane"),), (("Ωμέγα", ""),))))
+@example(title="The Of And", ids=(), source="crossref", pass_number=3, authors=())
+@example(title="Σύγχρονη φυσική", ids=(), source="pubmed", pass_number=3, authors=())
+def test_source_pass_query_never_raises(title, ids, source, pass_number, authors):
+    """Any title extraction can produce (stop words only, non-Latin,
+    punctuation), any identifiers, source and pass: a query the source
+    supports, or None. A title with no content word gets no pass-3 query."""
+    title = textnorm.normalize_display(title) or None
+    assume(title or ids)
+    entry = _entry_with(ids, title=title, authors=authors)
+    query = source_pass_query(entry, pass_number, source)
+    assert query is None or supports(source, query.kind)
+    if title and pass_number == 3:
+        assert (query is None) == (relaxed_query_text(title) == "")
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +351,27 @@ def test_every_candidate_in_exactly_one_cluster():
         keys = {(r.source, r.source_id) for r in records}
         assert {(m.source, m.source_id) for m in seen} == keys
         assert len(seen) == len({(m.source, m.source_id) for m in seen})
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False), count=st.integers(0, 8),
+       prescored=st.integers(0, 8))
+def test_clustering_scores_every_member(rng, count, prescored):
+    """Each cluster holds a score for each of its members, computed here or
+    passed in, and equal to score_match's: manifestation grouping reads them
+    and scores nothing."""
+    entry = make_entry(title="alpha beta gamma delta", doi="10.1/a")
+    records = [_random_candidate(rng) for _ in range(count)]
+    scores = {}  # as verify_entries passes them: the first record per key
+    for record in records[:prescored]:
+        scores.setdefault(f"{record.source}:{record.source_id}", score_match(entry, record))
+    for cluster in dedupe_and_cluster(records, entry, scores):
+        member_scores = dict(cluster.member_scores)
+        assert len(member_scores) == len(cluster.member_scores)
+        assert set(member_scores) == {f"{m.source}:{m.source_id}" for m in cluster.members}
+        for member in cluster.members:
+            assert member_scores[f"{member.source}:{member.source_id}"] == score_match(
+                entry, member)
 
 
 def test_cluster_ordering_is_deterministic():
@@ -453,10 +529,6 @@ class _ShuffledTransport(Transport):
         self.lock = threading.Lock()
         self.fetched: Counter[str] = Counter()
 
-    @property
-    def mode(self) -> str:
-        return self.inner.mode
-
     def fetch(self, request):
         with self.lock:
             delay = self.rng.random() / 1000
@@ -568,7 +640,6 @@ def test_each_pair_scored_once_per_batch(corpus_paths, monkeypatch):
         return score_match(entry, record, *args)
 
     monkeypatch.setattr(matching, "score_match", spy)
-    monkeypatch.setattr(manifestations, "score_match", spy)
     entries = [e for name, file in [("main", "references.bib"), ("biomed", "biomed.bib"),
                                     ("manifestation", "cited.bib"),
                                     ("multipass", "obscure.bib"), ("mixed", "mixed.bib")]

@@ -15,6 +15,7 @@ import corpus
 from citecheck.errors import BlockedByPolicy, StaleFile, UnsupportedFormat, WriteDenied
 from citecheck.extraction import extract_references, parse_bibtex
 from citecheck.matching import verify_entries
+from citecheck.pipeline import run_repair
 from citecheck.policy import PRESETS, evaluate_policy, summarize_batch
 from citecheck.rewrite import (analyze_key_mapping, apply_rewrite, assign_citation_keys,
                                generate_citation_key, plan_rewrite, render_bibliography,
@@ -187,6 +188,24 @@ def test_duplicate_keys_zero_patches(corpus_paths):
     assert plan.blocked
     assert plan.patches == ()
     assert plan.safety["duplicate_keys"] >= 2
+
+
+@pytest.mark.parametrize("folder", ["duplicates", "manifestation", "main"])
+def test_plan_safety_is_the_policy_summary(replay_options, corpus_paths, folder):
+    """The plan's safety counts are the decision summary's, and those count
+    the duplicate-key lint, the unsafe key renames and the entries with a
+    manifestation conflict."""
+    run = run_repair(replay_options(corpus_paths[folder], mode="replacement",
+                                    regenerate_keys=True), stage="plan")
+    summary = run.decision.summary
+    assert run.plan.safety == {"duplicate_keys": summary.duplicate_key_count,
+                               "unsafe_key_rewrites": summary.unsafe_key_rewrite_count,
+                               "manifestation_conflicts": summary.manifestation_conflict_count}
+    assert summary.duplicate_key_count == sum(f.code == "duplicate_key"
+                                              for f in run.extraction.lint)
+    assert summary.unsafe_key_rewrite_count == run.plan.key_mapping.unsafe_rewrite_count()
+    assert summary.manifestation_conflict_count == sum(
+        any(i.code == "manifestation_conflict" for i in v.issues) for v in run.verdicts)
 
 
 def test_review_mode_plans_zero_patches(corpus_paths):

@@ -11,9 +11,12 @@ to at least 0.95; a shared identifier that *differs* caps it at 0.5 no
 matter how good the text looks. Verification runs up to three passes and
 only escalates while the best confidence stays below 0.6.
 
-A batch is verified pass by pass: source queries wait on the network in a
-thread pool, while normalizing and scoring run on the calling thread, and
-each (entry, record) pair is scored once.
+A batch is verified pass by pass. Source queries wait on the network in
+one lane per source, a thread pool holding `workers` queries in flight,
+so a slow source never takes a fast one's threads; under replay, which
+waits on nothing, they run inline on the calling thread. Normalizing and
+scoring run on the calling thread, and each (entry, record) pair is
+scored once.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from . import textnorm
@@ -38,6 +41,7 @@ AUTHOR_MISMATCH_THRESHOLD = 0.5
 VENUE_MISMATCH_THRESHOLD = 0.3
 RELAXED_QUERY_WORDS = 6
 DEFAULT_WORKERS = 4
+MAX_WORKERS = 16
 
 ISSUE_CODES = ("title_mismatch", "identifier_conflict", "year_disagreement",
                "author_mismatch", "insufficient_evidence", "manifestation_conflict",
@@ -541,7 +545,7 @@ def _verdict(state: _Retrieval, any_enabled: bool) -> EntryVerdict:
 def verify_entry(entry: ReferenceInput, transport: Transport, config: SourceConfig,
                  limit: int = DEFAULT_QUERY_LIMIT) -> EntryVerdict:
     """Run up to three retrieval passes and produce the entry's verdict: a
-    batch of one, its source queries run one at a time."""
+    batch of one, with at most one query in flight per source."""
     return verify_entries([entry], transport, config, limit=limit, workers=1)[0]
 
 
@@ -553,9 +557,11 @@ def verify_entries(entries: list[ReferenceInput], transport: Transport,
     """Verify a batch pass by pass; output order matches input.
 
     Each pass asks every enabled source the query each still-open entry
-    puts to it, runs each distinct (source, query) once per batch with up
-    to `workers` source queries in flight (inline when `workers` is 1), and
-    hands each entry its outcomes in pass/source order. Scoring runs on the
+    puts to it, runs each distinct (source, query) once per batch, and
+    hands each entry its outcomes in pass/source order. A transport that
+    `waits` gets one lane per source, named `citecheck-<source>`, with up
+    to `workers` of that source's queries in flight; one that does not
+    (replay) is asked inline, on the calling thread. Scoring runs on the
     calling thread, once per (entry, record) pair. An entry moves on to the
     next pass only while its best confidence stays below WEAK_THRESHOLD.
 
@@ -570,8 +576,11 @@ def verify_entries(entries: list[ReferenceInput], transport: Transport,
     fetched: dict[tuple[str, Query], QueryOutcome] = {}
     known = known or {}
     open_states = states if enabled else []
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        run = pool.map if pool is not None else map
+    with ExitStack() as stack:
+        # A pool starts its threads on first use, so an idle lane costs none.
+        lanes = {source: stack.enter_context(ThreadPoolExecutor(
+                     workers, thread_name_prefix=f"citecheck-{source}"))
+                 for source in enabled} if transport.waits else {}
         for pass_number in (1, 2, 3):
             asked: list[tuple[_Retrieval, str, Query]] = []
             for state in open_states:
@@ -584,8 +593,12 @@ def verify_entries(entries: list[ReferenceInput], transport: Transport,
                                  if (source, query) not in fetched)
             fetched.update((job, known[job]) for job in jobs if job in known)
             todo = [job for job in jobs if job not in fetched]
-            fetched.update(zip(todo, run(lambda job: query_source(*job, transport, config),
-                                         todo)))
+            if lanes:
+                answers = [lanes[source].submit(query_source, source, query, transport, config)
+                           for source, query in todo]
+                fetched.update(zip(todo, (answer.result() for answer in answers)))
+            else:
+                fetched.update((job, query_source(*job, transport, config)) for job in todo)
             for state, source, query in asked:
                 state.add(pass_number, query, fetched[source, query], keys)
             open_states = [s for s in open_states if s.best() < WEAK_THRESHOLD]

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .errors import BlockedByPolicy, UsageError
 from .extraction import ExtractionResult, extract_references
-from .matching import DEFAULT_WORKERS, EntryVerdict, verify_entries
+from .matching import DEFAULT_WORKERS, MAX_WORKERS, EntryVerdict, verify_entries
 from .policy import PRESETS, PolicyDecision, evaluate_policy, summarize_batch
 from .rewrite import (ApplyResult, RewritePlan, analyze_key_mapping, apply_rewrite,
                       plan_rewrite, render_bibliography)
@@ -57,7 +57,8 @@ class RunOptions:
     fixtures_dir: str | None = _option("Fixture store for replay/record transports", None)
     max_depth: int = _option("Folder levels scanned", DEFAULT_MAX_DEPTH, minimum=1, scan=True)
     regenerate_keys: bool = _option("Regenerate citation keys in the rewrite", False)
-    workers: int = _option("Source queries in flight at once", DEFAULT_WORKERS, minimum=1)
+    workers: int = _option("Queries in flight per source; replay runs inline",
+                           DEFAULT_WORKERS, minimum=1, maximum=MAX_WORKERS)
     limit: int = _option("Candidates requested per source query", DEFAULT_QUERY_LIMIT,
                          minimum=1, maximum=MAX_QUERY_LIMIT)
     env: dict[str, str] | None = None  # defaults to os.environ

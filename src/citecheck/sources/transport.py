@@ -14,6 +14,7 @@ import base64
 import hashlib
 import json
 import random
+import threading
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -129,6 +130,10 @@ class FixtureStore:
 
 
 class Transport:
+    # Whether a fetch waits on something outside the process, such as the
+    # network; verification overlaps only the fetches of a transport that waits.
+    waits = True
+
     def fetch(self, request: HttpRequest) -> RawResponse:
         raise NotImplementedError
 
@@ -137,15 +142,27 @@ class LiveTransport(Transport):
     """Real HTTP with bounded retries (full-jitter exponential backoff).
 
     Only retryable failures (connection errors, 429, 5xx) are retried,
-    at most twice, starting at 500 ms.
+    at most twice, starting at 500 ms. A passed-in `session` is shared by
+    every thread; otherwise each thread that fetches gets its own.
     """
 
     def __init__(self, timeout_s: float = 15.0, session: requests.Session | None = None,
                  sleep=time.sleep, rng: random.Random | None = None):
         self.timeout_s = timeout_s
-        self.session = session or requests.Session()
+        self._shared = session
+        self._local = threading.local()
         self._sleep = sleep
         self._rng = rng or random.Random()
+
+    @property
+    def session(self) -> requests.Session:
+        """The session this thread sends with."""
+        if self._shared is not None:
+            return self._shared
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        return session
 
     def _attempt(self, request: HttpRequest) -> RawResponse:
         params = dict(request.params)
@@ -182,6 +199,8 @@ def _is_retryable(response: RawResponse) -> bool:
 
 class ReplayTransport(Transport):
     """Serve recorded fixtures only; zero socket operations."""
+
+    waits = False
 
     def __init__(self, store: FixtureStore):
         self.store = store

@@ -37,6 +37,7 @@ def test_unknown_flag_exits_64(capsys):
     ("scan", ["--max-depth", "0"]),
     ("analyze", ["--workers", "0"]),
     ("analyze", ["--sources", "foo"]),
+    ("analyze", ["--workers", "17"]),
 ])
 def test_out_of_range_option_exits_64(tmp_path, capsys, command, flag):
     (tmp_path / "refs.bib").write_text("@misc{k, title={T}}\n")

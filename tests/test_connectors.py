@@ -7,6 +7,7 @@ import json
 import threading
 
 import pytest
+import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -254,6 +255,24 @@ def test_live_retry_on_retryable(monkeypatch):
     assert len(attempts) == 3  # initial + 2 retries
     assert len(sleeps) == 2
     assert all(0 <= s <= 2.0 for s in sleeps)
+
+
+def test_live_session_per_thread_unless_passed_in():
+    own, shared = LiveTransport(), LiveTransport(session=requests.Session())
+    seen = []
+
+    def sessions():
+        seen.append((own.session, own.session, shared.session))
+
+    threads = [threading.Thread(target=sessions) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    (a, a_again, a_shared), (b, b_again, b_shared) = seen
+    assert a is a_again and b is b_again and a is not b
+    assert a_shared is b_shared is shared.session
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from citecheck.sources import (CandidateRecord, FixtureStore, ReplayTransport, T
                                query_source, request_key, summarize_health, supports)
 from citecheck.sources.config import SourceConfig
 from citecheck.sources.models import SOURCES
+from citecheck.sources.transport import RawResponse
 
 CONFIG = corpus.CONFIG
 
@@ -592,7 +593,7 @@ def test_batch_verdicts_equal_single_entry_verdicts(corpus_paths):
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(picks=st.lists(st.integers(0, len(pool) - 1), max_size=12),
-           workers=st.sampled_from((1, 2, 4)), seed=st.integers(0, 2 ** 32 - 1))
+           workers=st.sampled_from((1, 2, 4, 8)), seed=st.integers(0, 2 ** 32 - 1))
     def check(picks, workers, seed):
         transport = _ShuffledTransport(replay, seed)
         verdicts = verify_entries([pool[i] for i in picks], transport, CONFIG,
@@ -605,6 +606,51 @@ def test_batch_verdicts_equal_single_entry_verdicts(corpus_paths):
                 expected.chosen, expected.evidence, expected.passes_used)
 
     check()
+
+
+class _InFlightTransport(Transport):
+    """Answers 404 after a few milliseconds; records the most requests in
+    flight at any moment, per source and across sources."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.now: Counter[str] = Counter()
+        self.peak: Counter[str] = Counter()
+        self.peak_total = 0
+
+    def fetch(self, request):
+        with self.lock:
+            self.now[request.source] += 1
+            self.peak[request.source] = max(self.peak[request.source],
+                                            self.now[request.source])
+            self.peak_total = max(self.peak_total, sum(self.now.values()))
+        time.sleep(0.005)
+        with self.lock:
+            self.now[request.source] -= 1
+        return RawResponse(status=404, body=b"")
+
+
+def test_each_source_has_its_own_lane():
+    """`workers` bounds the queries in flight per source, and sources wait
+    side by side."""
+    entries = [make_entry(title=f"Study number {i} of lanes", ordinal=i) for i in range(12)]
+    transport = _InFlightTransport()
+    verdicts = verify_entries(entries, transport, CONFIG, workers=2)
+    assert {v.passes_used for v in verdicts} == {3}
+    assert set(transport.peak) == {"pubmed", "crossref", "arxiv"}
+    assert max(transport.peak.values()) <= 2
+    assert transport.peak_total > 2
+
+
+def test_replay_runs_inline(corpus_paths, monkeypatch):
+    """Replay answers from disk, so verification starts no thread for it."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a replay run started a thread pool")
+
+    monkeypatch.setattr(matching, "ThreadPoolExecutor", no_pool)
+    entries = _corpus_entries(corpus_paths)
+    verdicts = verify_entries(entries, _replay(corpus_paths), CONFIG, workers=4)
+    assert verdicts == verify_entries(entries, _replay(corpus_paths), CONFIG, workers=1)
 
 
 def test_repeated_entries_fetch_each_request_once(corpus_paths):

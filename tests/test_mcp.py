@@ -183,6 +183,7 @@ def test_cli_flags_equal_tool_properties(command, tool, expected):
     ("scan_workspace", {"path": "p", "mode": "review"}),
     ("scan_workspace", {}),
     ("apply_reference_rewrite", {"mode": "replacement"}),
+    ("analyze_references", {"path": "p", "workers": 17}),
 ])
 def test_bad_arguments_are_usage_errors(tool, arguments):
     responses = _exchange([_call(tool, arguments)])

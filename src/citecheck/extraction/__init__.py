@@ -1,9 +1,13 @@
 """Reference extraction: artifact bytes in, normalized entries out.
 
-Dispatch is by extension. BibTeX entries keep exact byte spans into their
-own file (for .tex artifacts that means the traced .bib resources); text
-formats keep spans into the manuscript; .docx spans reference the UTF-8
-encoding of the extracted paragraph text, which is read-only downstream.
+`ORIGINS` maps each extension to its origin format. Entries come from a
+.bib, each bib resource a .tex names, a .tex's inline \\bibitems, or a
+references section (md, txt, docx, and .tex with neither), and all of them
+go through one entry builder. BibTeX entries keep exact byte spans into
+their own file (for .tex artifacts that means the traced .bib resources);
+text formats keep spans into the manuscript; .docx spans reference the
+UTF-8 encoding of the extracted paragraph text, which is read-only
+downstream.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ __all__ = [
 
 resolve_tex_bib_resources = latex_mod.resolve_tex_bib_resources
 
-SUPPORTED_EXTENSIONS = ("bib", "tex", "md", "txt", "docx")
+# Origin format of each supported extension.
+ORIGINS = {"bib": "bibtex", "tex": "tex", "md": "markdown", "txt": "plaintext",
+           "docx": "docx"}
 
 
 def decode_exact(raw: bytes) -> tuple[str, str]:
@@ -47,13 +53,16 @@ def decode_exact(raw: bytes) -> tuple[str, str]:
         return raw.decode("latin-1"), "latin-1"
 
 
-def read_text_exact(path: Path) -> tuple[str, str]:
-    """Read and decode a file with :func:`decode_exact`."""
+def _read_bytes(path: Path) -> bytes:
     try:
-        raw = path.read_bytes()
+        return path.read_bytes()
     except OSError as exc:
         raise UnreadableFile(f"{path}: {exc}") from exc
-    return decode_exact(raw)
+
+
+def read_text_exact(path: Path) -> tuple[str, str]:
+    """Read and decode a file with :func:`decode_exact`."""
+    return decode_exact(_read_bytes(path))
 
 
 def extract_references(artifact_path: str | Path) -> ExtractionResult:
@@ -63,22 +72,21 @@ def extract_references(artifact_path: str | Path) -> ExtractionResult:
     in `result.rejected`, never dropped.
     """
     path = Path(artifact_path)
-    ext = path.suffix.lower().lstrip(".")
-    if ext not in SUPPORTED_EXTENSIONS:
+    origin = ORIGINS.get(path.suffix.lower().lstrip("."))
+    if origin is None:
         raise UnsupportedFormat(f"unsupported artifact extension: {path.name}")
     if not path.is_file():
         raise UnreadableFile(f"no such file: {path}")
 
-    if ext == "bib":
-        return _finish(_extract_bib(path))
-    if ext == "tex":
-        return _extract_tex(path)
-    if ext == "docx":
-        return _extract_docx(path)
-    return _extract_textual(path, "markdown" if ext == "md" else "plaintext")
+    result = ExtractionResult(artifact_path=str(path), origin_format=origin)
+    raw = _read_bytes(path)
+    if origin == "docx":
+        text, encoding = "\n".join(extract_docx_text(raw)), "utf-8"
+    else:
+        text, encoding = decode_exact(raw)
+    add = {"bibtex": _add_bib, "tex": _add_tex}.get(origin, _add_section)
+    add(result, path, text, encoding)
 
-
-def _finish(result: ExtractionResult) -> ExtractionResult:
     result.lint.extend(lint_bibliography(result.entries))
     for rejected in result.rejected:
         result.lint.append(LintFinding(
@@ -91,9 +99,24 @@ def _finish(result: ExtractionResult) -> ExtractionResult:
     return result
 
 
-def _normalize_all(result: ExtractionResult,
-                   raws: list[tuple[RawReference, dict[str, str]]]) -> None:
-    for raw, fields in raws:
+def _add_entries(result: ExtractionResult, path: Path, text: str, encoding: str,
+                 origin: str,
+                 items: list[tuple[tuple[int, int], dict[str, str], str | None]]) -> None:
+    """File each (character span, fields, citation key) item of `text` as an
+    entry or a reject: spans become byte spans into `path`'s bytes in one
+    pass, and ordinals go on from the entries and rejects already in `result`.
+    """
+    spans = char_to_byte_spans(text, [span for span, _, _ in items], encoding)
+    base = len(result.entries) + len(result.rejected)
+    for i, (((start, end), fields, key), span) in enumerate(zip(items, spans)):
+        raw = RawReference(
+            source_span=span,
+            original_text=text[start:end],
+            origin_format=origin,
+            ordinal=base + i + 1,
+            citation_key=key,
+            source_path=str(path),
+        )
         outcome = normalize_reference(raw, fields)
         if isinstance(outcome, RejectedReference):
             result.rejected.append(outcome)
@@ -101,40 +124,22 @@ def _normalize_all(result: ExtractionResult,
             result.entries.append(outcome)
 
 
-def _extract_bib(path: Path, result: ExtractionResult | None = None,
-                 ordinal_base: int = 0) -> ExtractionResult:
-    if result is None:
-        result = ExtractionResult(artifact_path=str(path), origin_format="bibtex")
-    text, encoding = read_text_exact(path)
-    parsed = parse_bibtex(text)
-    spans = char_to_byte_spans(text, [entry.span for entry in parsed.entries], encoding)
-    raws: list[tuple[RawReference, dict[str, str]]] = []
-    for i, (entry, span) in enumerate(zip(parsed.entries, spans)):
-        raw = RawReference(
-            source_span=span,
-            original_text=text[entry.span[0]:entry.span[1]],
-            origin_format="bibtex",
-            ordinal=ordinal_base + i + 1,
-            citation_key=entry.key,
-            source_path=str(path),
-        )
+def _add_bib(result: ExtractionResult, path: Path, text: str, encoding: str) -> None:
+    items = []
+    for entry in parse_bibtex(text).entries:
         fields = {name: bibtex_mod.strip_braces(value)
                   for name, value in entry.field_map().items()}
         fields["_entry_type"] = entry.entry_type
-        raws.append((raw, fields))
-    _normalize_all(result, raws)
-    return result
+        items.append((entry.span, fields, entry.key))
+    _add_entries(result, path, text, encoding, "bibtex", items)
 
 
-def _extract_tex(path: Path) -> ExtractionResult:
-    result = ExtractionResult(artifact_path=str(path), origin_format="tex")
-    text, encoding = read_text_exact(path)
-
+def _add_tex(result: ExtractionResult, path: Path, text: str, encoding: str) -> None:
     resources = latex_mod.resolve_tex_bib_resources(text, path.parent)
     result.bib_resources = [str(p) for p in resources]
-    missing = [name for name in latex_mod.named_bib_resources(text)
-               if not (path.parent / name).is_file()]
-    for name in missing:
+    for name in latex_mod.named_bib_resources(text):
+        if (path.parent / name).is_file():
+            continue
         result.lint.append(LintFinding(
             code="missing_field",
             entry_ordinal=0,
@@ -144,75 +149,33 @@ def _extract_tex(path: Path) -> ExtractionResult:
 
     if resources:
         for resource in resources:
-            base = len(result.entries) + len(result.rejected)
-            _extract_bib(resource, result=result, ordinal_base=base)
-        return _finish(result)
-
+            _add_bib(result, resource, *read_text_exact(resource))
+        return
     items = latex_mod.extract_bibitems(text)
     if items:
-        spans = char_to_byte_spans(text, [item.span for item in items], encoding)
-        raws: list[tuple[RawReference, dict[str, str]]] = []
-        for i, (item, span) in enumerate(zip(items, spans)):
-            raw = RawReference(
-                source_span=span,
-                original_text=text[item.span[0]:item.span[1]],
-                origin_format="tex",
-                ordinal=i + 1,
-                source_path=str(path),
-            )
-            raws.append((raw, parse_freetext_fields(item.text)))
-        _normalize_all(result, raws)
-        return _finish(result)
-
-    # No bib resources and no bibitems: fall back to a plain references section.
-    plain = latex_mod.strip_comments(text)
-    _extract_section_entries(result, path, text, plain, "tex", encoding)
-    return _finish(result)
+        _add_entries(result, path, text, encoding, "tex",
+                     [(item.span, parse_freetext_fields(item.text), None) for item in items])
+    else:
+        # No bib resources and no bibitems: fall back to a plain references section.
+        _add_section(result, path, text, encoding, latex_mod.strip_comments(text))
 
 
-def _extract_textual(path: Path, origin: str) -> ExtractionResult:
-    result = ExtractionResult(artifact_path=str(path), origin_format=origin)
-    text, encoding = read_text_exact(path)
-    _extract_section_entries(result, path, text, text, origin, encoding)
-    return _finish(result)
-
-
-def _extract_docx(path: Path) -> ExtractionResult:
-    result = ExtractionResult(artifact_path=str(path), origin_format="docx")
-    try:
-        payload = path.read_bytes()
-    except OSError as exc:
-        raise UnreadableFile(f"{path}: {exc}") from exc
-    paragraphs = extract_docx_text(payload)
-    text = "\n".join(paragraphs)
-    _extract_section_entries(result, path, text, text, "docx", "utf-8")
-    return _finish(result)
-
-
-def _extract_section_entries(result: ExtractionResult, path: Path, original_text: str,
-                             search_text: str, origin: str, encoding: str) -> None:
-    """Shared section-detection + segmentation path for md/txt/docx/tex-fallback.
+def _add_section(result: ExtractionResult, path: Path, text: str, encoding: str,
+                 search_text: str | None = None) -> None:
+    """The references section's entries: md, txt, docx and the .tex fallback.
 
     `search_text` may be a comment-stripped copy with identical offsets;
-    spans and original_text always come from `original_text`.
+    spans and original_text always come from `text`.
     """
+    search_text = text if search_text is None else search_text
     section = detect_reference_section(search_text)
     if section is None:
         return
-    segments = segment_references(search_text, section)
-    result.section_span, *spans = char_to_byte_spans(original_text, [section, *segments],
-                                                     encoding)
-    raws: list[tuple[RawReference, dict[str, str]]] = []
-    for i, ((start, end), span) in enumerate(zip(segments, spans)):
-        raw = RawReference(
-            source_span=span,
-            original_text=original_text[start:end],
-            origin_format=origin,
-            ordinal=i + 1,
-            source_path=str(path),
-        )
+    result.section_span = char_to_byte_spans(text, [section], encoding)[0]
+    items = []
+    for start, end in segment_references(search_text, section):
         cleaned = search_text[start:end]
-        if origin == "markdown":
+        if result.origin_format == "markdown":
             cleaned = strip_markdown_links(cleaned)
-        raws.append((raw, parse_freetext_fields(cleaned)))
-    _normalize_all(result, raws)
+        items.append(((start, end), parse_freetext_fields(cleaned), None))
+    _add_entries(result, path, text, encoding, result.origin_format, items)

@@ -8,7 +8,9 @@ cleaned copies used for field parsing never leak into offsets.
 
 from __future__ import annotations
 
+import itertools
 import re
+from collections.abc import Callable
 
 from .. import textnorm
 
@@ -46,6 +48,13 @@ def _is_bare_header(line: str) -> bool:
     return len(words) <= 4 and all(w[0].isupper() or w[0].isdigit() for w in words)
 
 
+def _closes_numbered_section(line: str) -> bool:
+    # "8. Conclusion" closes the section; "8. Doe, J. (2020). ..." is an
+    # entry. The remainder after the number must itself read as a header.
+    m = re.match(r"^\s*\d+(?:\.\d+)*[.)]?\s+(?P<rest>\S.*)$", line)
+    return m is not None and _is_bare_header(m.group("rest"))
+
+
 def detect_reference_section(text: str) -> tuple[int, int] | None:
     """Character span of the references section, or None.
 
@@ -54,44 +63,22 @@ def detect_reference_section(text: str) -> tuple[int, int] | None:
     first.
     """
     lines = text.splitlines(keepends=True)
-    offsets: list[int] = []
-    pos = 0
-    for line in lines:
-        offsets.append(pos)
-        pos += len(line)
-
-    header_idx: int | None = None
-    header_match: re.Match[str] | None = None
-    for i, line in enumerate(lines):
-        m = _HEADER_RE.match(line.strip())
-        if m:
-            header_idx = i
-            header_match = m
-    if header_idx is None or header_match is None:
+    offsets = list(itertools.accumulate((len(line) for line in lines), initial=0))
+    headers = [(i, m) for i, line in enumerate(lines) if (m := _HEADER_RE.match(line.strip()))]
+    if not headers:
         return None
+    header_idx, header_match = headers[-1]
 
-    start = offsets[header_idx] + len(lines[header_idx])
-    end = len(text)
+    # The section ends at the first later line that closes it.
+    closes: Callable[[str], object] = _is_bare_header
     if header_match.group("hash"):
         level = len(header_match.group("hash").strip())
-        closer = re.compile(r"^#{1,%d}\s+\S" % level)
-        for j in range(header_idx + 1, len(lines)):
-            if closer.match(lines[j]):
-                end = offsets[j]
-                break
+        closes = re.compile(r"^#{1,%d}\s+\S" % level).match
     elif header_match.group("num"):
-        # "8. Conclusion" closes the section; "8. Doe, J. (2020). ..." is an
-        # entry. The remainder after the number must itself read as a header.
-        for j in range(header_idx + 1, len(lines)):
-            m = re.match(r"^\s*\d+(?:\.\d+)*[.)]?\s+(?P<rest>\S.*)$", lines[j])
-            if m and _is_bare_header(m.group("rest")):
-                end = offsets[j]
-                break
-    else:
-        for j in range(header_idx + 1, len(lines)):
-            if _is_bare_header(lines[j]) and lines[j].strip():
-                end = offsets[j]
-                break
+        closes = _closes_numbered_section
+    start = offsets[header_idx + 1]
+    end = next((offsets[j] for j in range(header_idx + 1, len(lines)) if closes(lines[j])),
+               len(text))
     if start >= end:
         return None
     return (start, end)
@@ -112,36 +99,20 @@ def segment_references(text: str, span: tuple[int, int]) -> list[tuple[int, int]
     start, end = span
     block = text[start:end]
     lines = block.splitlines(keepends=True)
-    offsets: list[int] = []
-    pos = 0
-    for line in lines:
-        offsets.append(pos)
-        pos += len(line)
+    offsets = list(itertools.accumulate((len(line) for line in lines), initial=0))
 
     marker_lines = [i for i, line in enumerate(lines) if _MARKER_RE.match(line)]
-    spans: list[tuple[int, int]] = []
     if marker_lines:
-        for k, i in enumerate(marker_lines):
-            seg_start = offsets[i]
-            seg_end = offsets[marker_lines[k + 1]] if k + 1 < len(marker_lines) else len(block)
-            spans.append((seg_start, seg_end))
+        bounds = [offsets[i] for i in marker_lines] + [len(block)]
+        spans = list(zip(bounds, bounds[1:]))
     elif any(not line.strip() for line in lines):
-        blocks: list[tuple[int, int]] = []
-        current: int | None = None
-        for i, line in enumerate(lines):
-            if line.strip():
-                if current is None:
-                    current = offsets[i]
-            else:
-                if current is not None:
-                    blocks.append((current, offsets[i]))
-                    current = None
-        if current is not None:
-            blocks.append((current, len(block)))
-        spans = blocks
+        spans = []
+        for blank, run in itertools.groupby(range(len(lines)), lambda i: not lines[i].strip()):
+            if not blank:
+                block_lines = list(run)
+                spans.append((offsets[block_lines[0]], offsets[block_lines[-1] + 1]))
     else:
-        spans = [(offsets[i], offsets[i] + len(lines[i])) for i, line in enumerate(lines)
-                 if line.strip()]
+        spans = [(offsets[i], offsets[i + 1]) for i, line in enumerate(lines) if line.strip()]
 
     trimmed: list[tuple[int, int]] = []
     for seg_start, seg_end in spans:
@@ -209,34 +180,29 @@ def parse_freetext_fields(entry_text: str) -> dict[str, str]:
     body = re.sub(r"\barXiv[:\s]*\S+", "", body, flags=re.IGNORECASE)
     body = re.sub(r"\s+", " ", body).strip().strip(",;")
 
+    # "Authors (Year). Title. Venue" splits at the year; otherwise the first
+    # sentence is the authors only when it reads as names and more follows.
     paren_year = _PAREN_YEAR_RE.search(body)
     if paren_year:
         year = int(paren_year.group(1))
         if YEAR_MIN <= year <= YEAR_MAX:
             fields["year"] = paren_year.group(1)
-        authors_part = body[: paren_year.start()].strip().rstrip(",; ")
-        rest = body[paren_year.end():].lstrip(" .:")
-        chunks = _split_sentences(rest)
-        if authors_part:
-            fields["author"] = authors_part
-        if chunks:
-            fields["title"] = chunks[0]
-        if len(chunks) > 1:
-            fields["venue"] = _clean_venue(chunks[1])
+        authors = body[: paren_year.start()].strip().rstrip(",; ")
+        chunks = _split_sentences(body[paren_year.end():].lstrip(" .:"))
     else:
         year = first_plausible_year(body)
         if year is not None:
             fields["year"] = str(year)
         chunks = _split_sentences(body)
-        if chunks and _looks_like_authors(chunks[0]) and len(chunks) > 1:
-            fields["author"] = chunks[0]
-            fields["title"] = chunks[1]
-            if len(chunks) > 2:
-                fields["venue"] = _clean_venue(chunks[2])
-        elif chunks:
-            fields["title"] = chunks[0]
-            if len(chunks) > 1:
-                fields["venue"] = _clean_venue(chunks[1])
+        authors = ""
+        if len(chunks) > 1 and _looks_like_authors(chunks[0]):
+            authors, *chunks = chunks
+    if authors:
+        fields["author"] = authors
+    if chunks:
+        fields["title"] = chunks[0]
+    if len(chunks) > 1:
+        fields["venue"] = _clean_venue(chunks[1])
     # A "title" without a single word character (dash runs, ellipses) is
     # decoration, not data; dropping it lets normalization reject the entry.
     if "title" in fields and not re.search(r"[0-9A-Za-z]", fields["title"]):

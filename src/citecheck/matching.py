@@ -93,16 +93,6 @@ class MatchScore:
         if not (0.0 <= self.confidence <= 1.0):
             raise ValueError(f"confidence out of range: {self.confidence}")
 
-    def to_dict(self) -> dict:
-        return {
-            "title_sim": round(self.title_sim, 6),
-            "author_sim": round(self.author_sim, 6),
-            "year_signal": self.year_signal,
-            "venue_sim": round(self.venue_sim, 6),
-            "identifier_signal": self.identifier_signal,
-            "confidence": round(self.confidence, 6),
-        }
-
 
 @dataclass(frozen=True)
 class MatchCluster:
@@ -503,12 +493,8 @@ def _verdict(state: _Retrieval, any_enabled: bool) -> EntryVerdict:
 
     entry, outcomes = state.entry, state.outcomes
     # not_checked covers: no sources enabled, no source able to serve any
-    # query for this entry (nothing attempted), or every attempt failing
-    # with a real failure class (not_found is evidence, not failure).
-    not_checked = (not any_enabled) or (not outcomes) or all(
-        o.failure is not None and o.failure.failure != "not_found"
-        for o in outcomes
-    )
+    # query for this entry (nothing attempted), or every attempt failed.
+    not_checked = (not any_enabled) or (not outcomes) or all(o.failed for o in outcomes)
     if not_checked:
         return EntryVerdict(
             entry=entry, status="not_checked", confidence=0.0, issues=(),

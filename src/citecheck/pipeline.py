@@ -6,10 +6,11 @@ deterministic for fixed inputs and fixed source answers, live or replayed:
 sorted keys, relative forward-slash paths, no timestamps and no timings.
 """
 
+import functools
 import json
 import os
 import typing
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
 
@@ -131,11 +132,20 @@ def _posix(path: str | Path) -> str:
     return str(path).replace(os.sep, "/")
 
 
-def _relativize(path: str | Path, base: Path) -> str:
-    try:
-        return Path(path).resolve().relative_to(base.resolve()).as_posix()
-    except ValueError:
-        return _posix(path)
+def _relativizer(base: Path) -> Callable[[str | Path], str]:
+    """Paths relative to `base`, resolving `base` and each distinct path once.
+
+    Make one per report: files can change between the calls of a session.
+    """
+    base = base.resolve()
+
+    @functools.cache
+    def relativize(path: str | Path) -> str:
+        try:
+            return Path(path).resolve().relative_to(base).as_posix()
+        except ValueError:
+            return _posix(path)
+    return relativize
 
 
 def report_json(report: dict) -> str:
@@ -188,12 +198,8 @@ def run_repair(options: RunOptions, stage: str = "repair",
     root = Path(options.path)
     scan = scan_workspace(root, max_depth=options.max_depth)
     artifact_rel = select_primary_artifact(scan)
-    if root.is_file():
-        artifact_path = root
-        base_dir = root.parent
-    else:
-        artifact_path = root / artifact_rel
-        base_dir = root
+    base_dir = root.parent if root.is_file() else root
+    artifact_path = base_dir / artifact_rel
 
     extraction = extract_references(artifact_path)
 
@@ -254,12 +260,12 @@ def _replacement_status(options: RunOptions, decision: PolicyDecision,
     }
 
 
-def verdict_dict(verdict: EntryVerdict, base_dir: Path) -> dict:
+def verdict_dict(verdict: EntryVerdict, relativize: Callable[[str | Path], str]) -> dict:
     entry = verdict.entry
     return {
         "ordinal": entry.ordinal,
         "citation_key": entry.citation_key,
-        "source_path": _relativize(entry.raw.source_path, base_dir),
+        "source_path": relativize(entry.raw.source_path),
         "origin_format": entry.raw.origin_format,
         "entry_kind": entry.entry_kind,
         "title": entry.title,
@@ -286,6 +292,7 @@ def assemble_report(options: RunOptions, base_dir: Path, scan: ScanReport,
                     verdicts: list[EntryVerdict], health, summary, decision,
                     plan: RewritePlan | None, apply_result: ApplyResult | None,
                     apply_error: str | None, config: SourceConfig) -> dict:
+    relativize = _relativizer(base_dir)
     worklist = [
         {
             "ordinal": v.entry.ordinal,
@@ -300,18 +307,17 @@ def assemble_report(options: RunOptions, base_dir: Path, scan: ScanReport,
     if plan is not None:
         plan_dict = plan.to_dict()
         plan_dict["patches"] = [
-            {**p.to_dict(), "target_path": _relativize(p.target_path, base_dir)}
+            {**p.to_dict(), "target_path": relativize(p.target_path)}
             for p in plan.patches
         ]
         plan_dict["content_digests"] = {
-            _relativize(path, base_dir): digest for path, digest in plan.content_digests
+            relativize(path): digest for path, digest in plan.content_digests
         }
 
     apply_dict = None
     if apply_result is not None:
         apply_dict = apply_result.to_dict()
-        apply_dict["written_paths"] = [_relativize(p, base_dir)
-                                       for p in apply_result.written_paths]
+        apply_dict["written_paths"] = [relativize(p) for p in apply_result.written_paths]
     elif apply_error is not None:
         apply_dict = {"error": {"type": "BlockedByPolicy", "message": apply_error}}
 
@@ -334,7 +340,7 @@ def assemble_report(options: RunOptions, base_dir: Path, scan: ScanReport,
             "origin_format": extraction.origin_format,
             "entry_count": len(extraction.entries),
             "section_span": list(extraction.section_span) if extraction.section_span else None,
-            "bib_resources": [_relativize(p, base_dir) for p in extraction.bib_resources],
+            "bib_resources": [relativize(p) for p in extraction.bib_resources],
             "rejected": [
                 {"ordinal": r.raw.ordinal, "reason": r.reason,
                  "excerpt": r.raw.original_text[:80]}
@@ -346,7 +352,7 @@ def assemble_report(options: RunOptions, base_dir: Path, scan: ScanReport,
                 for f in extraction.lint
             ],
         },
-        "entries": [verdict_dict(v, base_dir) for v in verdicts],
+        "entries": [verdict_dict(v, relativize) for v in verdicts],
         "worklist": worklist,
         "source_health": [h.to_dict() for h in health],
         "summary": summary.to_dict(),

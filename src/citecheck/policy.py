@@ -117,7 +117,7 @@ def summarize_batch(verdicts: list[EntryVerdict],
         if any(issue.code == "manifestation_conflict" for issue in verdict.issues):
             conflict_count += 1
         for outcome in verdict.outcomes:
-            if outcome.failure is not None and outcome.failure.failure != "not_found":
+            if outcome.failed:
                 failures[outcome.failure.failure] = failures.get(outcome.failure.failure, 0) + 1
 
     duplicate_count = sum(1 for finding in (lint_findings or [])

@@ -465,12 +465,10 @@ def summarize_health(outcomes: list[QueryOutcome], config: SourceConfig) -> list
             if outcome.source != source:
                 continue
             attempted += 1
-            if outcome.ok or (outcome.failure is not None
-                              and outcome.failure.failure == "not_found"):
-                succeeded += 1
-            else:
-                assert outcome.failure is not None
+            if outcome.failed:
                 failures[outcome.failure.failure] = failures.get(outcome.failure.failure, 0) + 1
+            else:
+                succeeded += 1
         health.append(SourceHealth(
             source=source,
             attempted=attempted,

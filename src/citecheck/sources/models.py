@@ -138,6 +138,11 @@ class QueryOutcome:
     def ok(self) -> bool:
         return self.records is not None
 
+    @property
+    def failed(self) -> bool:
+        """A failure of a real class; not_found is evidence of absence, not a failure."""
+        return self.failure is not None and self.failure.failure != "not_found"
+
     def digest(self) -> dict:
         """Compact evidence form for reports; the evidence step holds the query."""
         out: dict = {"source": self.source}

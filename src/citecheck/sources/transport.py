@@ -116,11 +116,7 @@ class FixtureStore:
             record["headers"] = {k: v for k, v in response.headers
                                  if k.lower() in ("content-type",)}
             try:
-                text = response.body.decode("utf-8")
-                if text.encode("utf-8") == response.body:
-                    record["body"] = text
-                else:  # pragma: no cover - decode round-trip is exact for utf-8
-                    record["body_b64"] = base64.b64encode(response.body).decode("ascii")
+                record["body"] = response.body.decode("utf-8")
             except UnicodeDecodeError:
                 record["body_b64"] = base64.b64encode(response.body).decode("ascii")
         path = _fixture_path(self.directory, key)

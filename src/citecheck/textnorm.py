@@ -53,11 +53,6 @@ def match_tokens(text: str) -> frozenset[str]:
     return frozenset(_TOKEN_RE.findall(fold_diacritics(text).casefold()))
 
 
-def token_jaccard(a: str, b: str) -> float:
-    """Token-set Jaccard similarity; empty-vs-anything is 0.0. Symmetric."""
-    return jaccard(match_tokens(a), match_tokens(b))
-
-
 def jaccard(ta: frozenset[str], tb: frozenset[str]) -> float:
     """Jaccard similarity of two token sets; an empty set scores 0.0."""
     if not ta or not tb:

@@ -131,10 +131,7 @@ def _read_probe(path: Path) -> tuple[str | None, str | None]:
     if path.suffix.lower() == ".docx":
         # Binary container; the probe heuristics only apply to text formats.
         return "", None
-    try:
-        return raw.decode("utf-8", errors="replace"), None
-    except Exception as exc:  # pragma: no cover - decode with replace cannot fail
-        return None, str(exc)
+    return raw.decode("utf-8", errors="replace"), None
 
 
 def _is_skipped_dir(name: str) -> str | None:
@@ -151,34 +148,30 @@ def scan_workspace(root: str | os.PathLike[str], max_depth: int = DEFAULT_MAX_DE
     `max_depth` counts directory levels below root: files in root itself
     are always visible, files under `a/b/c/` need max_depth >= 3. Hidden
     and generated directories are skipped wholesale and recorded; sidecar
-    outputs are never candidates. `root`
-    may also be a single file, in which case the report holds at most that
-    file.
+    outputs found by the walk are never candidates. `root` may also be a
+    single file, scanned as a folder of one: the report holds at most that
+    file, and a named sidecar is its own candidate.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     root_path = Path(root)
     if not root_path.exists():
         raise RootNotFound(str(root))
-
-    root_str = str(root_path).replace(os.sep, "/")
-
-    if root_path.is_file():
-        ext = root_path.suffix.lower().lstrip(".")
-        candidates: list[ScanCandidate] = []
-        if ext in EXTENSION_RANK:
-            probe, err = _read_probe(root_path)
-            candidates.append(
-                score_candidate(root_path, probe, rel_path=root_path.name, probe_error=err)
-            )
-        selected = candidates[0] if candidates else None
-        return ScanReport(root=root_str, candidates=tuple(candidates), selected=selected)
-
-    if not os.access(root_path, os.R_OK | os.X_OK):
+    named = root_path.is_file()
+    if not named and not os.access(root_path, os.R_OK | os.X_OK):
         raise PermissionDenied(str(root))
 
-    candidates = []
+    candidates: list[ScanCandidate] = []
     skipped: list[tuple[str, str]] = []
+    base = root_path.parent if named else root_path
+
+    def add(entry: Path) -> None:
+        ext = entry.suffix.lower().lstrip(".")
+        if ext not in EXTENSION_RANK or (is_sidecar(entry) and not named):
+            return
+        probe, err = _read_probe(entry)
+        rel = entry.relative_to(base).as_posix()
+        candidates.append(score_candidate(entry, probe, rel_path=rel, probe_error=err))
 
     def walk(directory: Path, depth: int) -> None:
         try:
@@ -197,24 +190,19 @@ def scan_workspace(root: str | os.PathLike[str], max_depth: int = DEFAULT_MAX_DE
                     skipped.append((rel, reason))
                 elif depth < max_depth:
                     walk(entry, depth + 1)
-                continue
-            if not entry.is_file():
-                continue
-            ext = entry.suffix.lower().lstrip(".")
-            if ext not in EXTENSION_RANK or is_sidecar(entry):
-                continue
-            probe, err = _read_probe(entry)
-            rel = entry.relative_to(root_path).as_posix()
-            candidates.append(score_candidate(entry, probe, rel_path=rel, probe_error=err))
+            elif entry.is_file():
+                add(entry)
 
-    walk(root_path, 0)
+    if named:
+        add(root_path)
+    else:
+        walk(root_path, 0)
     candidates.sort(key=lambda c: (-c.total_score, c.path))
     skipped.sort()
-    selected = candidates[0] if candidates else None
     return ScanReport(
-        root=root_str,
+        root=str(root_path).replace(os.sep, "/"),
         candidates=tuple(candidates),
-        selected=selected,
+        selected=candidates[0] if candidates else None,
         skipped_dirs=tuple(skipped),
     )
 

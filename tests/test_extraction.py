@@ -378,6 +378,60 @@ def test_span_fidelity_across_formats(tmp_path, corpus_paths):
             assert raw_bytes[start:end].decode("utf-8") == entry.raw.original_text
 
 
+def _write_tex_two_resources(tmp_path: Path) -> tuple[Path, str, list[str]]:
+    (tmp_path / "a.bib").write_text(
+        "@article{muller2019,\n  title={\u00dcber neuronale Netze},\n"
+        "  author={M\u00fcller, J\u00fcrgen},\n  year={2019},\n  journal={Nature}\n}\n"
+        "@article{doe2020,\n  title={Gradient methods},\n  author={Doe, Jane},\n"
+        "  year={2020},\n  journal={Science}\n}\n", encoding="utf-8")
+    (tmp_path / "b.bib").write_text(
+        "@article{roe2021,\n  title={Sparse coding revisited},\n  author={Roe, Rich},\n"
+        "  year={2021},\n  journal={Cell}\n}\n", encoding="utf-8")
+    tex = tmp_path / "paper.tex"
+    tex.write_text("\\documentclass{article}\n\\begin{document}\nSee \\cite{doe2020}.\n"
+                   "\\bibliography{a,b}\n\\end{document}\n", encoding="utf-8")
+    return tex, "utf-8", ["a.bib", "a.bib", "b.bib"]
+
+
+def _write_tex_bibitems(tmp_path: Path) -> tuple[Path, str, list[str]]:
+    tex = tmp_path / "paper.tex"
+    tex.write_text(
+        "\\documentclass{article}\n\\begin{document}\n% \\bibitem{gone} commented out\n"
+        "\\begin{thebibliography}{9}\n"
+        "\\bibitem{muller2019} M\u00fcller, J. (2019). \u00dcber neuronale Netze. Nature.\n"
+        "\\bibitem{doe2020} Doe, J. (2020). Gradient methods. Science.\n"
+        "\\end{thebibliography}\n\\end{document}\n", encoding="utf-8")
+    return tex, "utf-8", ["paper.tex", "paper.tex"]
+
+
+def _write_latin1_txt(tmp_path: Path) -> tuple[Path, str, list[str]]:
+    txt = tmp_path / "notes.txt"
+    txt.write_bytes(
+        "Notes on the r\u00e9sum\u00e9.\n\nReferences\n"
+        "[1] M\u00fcller, J. (2019). \u00dcber neuronale Netze. Nature.\n"
+        "[2] Doe, J. (2020). Gradient methods. Science.\n".encode("latin-1"))
+    return txt, "latin-1", ["notes.txt", "notes.txt"]
+
+
+@pytest.mark.parametrize("write", [_write_tex_two_resources, _write_tex_bibitems,
+                                   _write_latin1_txt],
+                         ids=["tex-two-bib-resources", "tex-bibitems", "latin1-txt"])
+def test_spans_and_ordinals_through_one_entry_builder(tmp_path, write):
+    """Ordinals run 1..n across every file of the artifact, and each span is a
+    byte span into the file its entry names."""
+    artifact, encoding, files = write(tmp_path)
+    result = extract_references(artifact)
+    raws = sorted([e.raw for e in result.entries] + [r.raw for r in result.rejected],
+                  key=lambda raw: raw.ordinal)
+    assert [raw.ordinal for raw in raws] == list(range(1, len(files) + 1))
+    assert [Path(raw.source_path).name for raw in raws] == files
+    for raw in raws:
+        start, end = raw.source_span
+        data = Path(raw.source_path).read_bytes()
+        assert data[start:end].decode(encoding) == raw.original_text
+        assert raw.original_text.strip()
+
+
 def test_ordinals_strictly_increasing(corpus_paths):
     result = extract_references(corpus_paths["main"] / "references.bib")
     ordinals = [e.ordinal for e in result.entries]

@@ -91,6 +91,13 @@ def test_single_file_root(tmp_path):
     report = scan_workspace(path)
     assert [c.path for c in report.candidates] == ["paper.md"]
     assert report.selected.path == "paper.md"
+    # A named unsupported file is a folder of one with nothing to rank.
+    report = scan_workspace(_touch(tmp_path / "paper.pdf"))
+    assert report.candidates == () and report.selected is None
+    # A named sidecar is its own candidate, though a walk skips it.
+    sidecar = _touch(tmp_path / "paper.citecheck.md", "# References\n")
+    assert scan_workspace(sidecar).selected.path == "paper.citecheck.md"
+    assert "paper.citecheck.md" not in [c.path for c in scan_workspace(tmp_path).candidates]
 
 
 def test_missing_root_raises(tmp_path):

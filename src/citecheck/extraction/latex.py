@@ -8,7 +8,7 @@ from pathlib import Path
 
 _BIBLIOGRAPHY_RE = re.compile(r"\\bibliography\{([^}]*)\}")
 _ADDBIBRESOURCE_RE = re.compile(r"\\addbibresource(?:\[[^\]]*\])?\{([^}]*)\}")
-_BIBITEM_RE = re.compile(r"\\bibitem(?:\[[^\]]*\])?\{([^}]*)\}")
+BIBITEM_RE = re.compile(r"\\bibitem(?:\[[^\]]*\])?\{([^}]*)\}")
 _THEBIB_END_RE = re.compile(r"\\end\{thebibliography\}")
 
 # \cite and friends (natbib, biblatex). Used for key-rename safety scans.
@@ -87,7 +87,7 @@ class BibItem:
 def extract_bibitems(tex_source: str) -> list[BibItem]:
     """Inline \\bibitem entries, each spanning up to the next item or env end."""
     cleaned = strip_comments(tex_source)
-    matches = list(_BIBITEM_RE.finditer(cleaned))
+    matches = list(BIBITEM_RE.finditer(cleaned))
     items: list[BibItem] = []
     for i, m in enumerate(matches):
         if i + 1 < len(matches):

@@ -30,10 +30,9 @@ _SOURCE_TIE_ORDER = {"crossref": 0, "pubmed": 1, "arxiv": 2, "semantic_scholar":
 @dataclass(frozen=True)
 class ManifestationSet:
     work_members: tuple[CandidateRecord, ...]
-    preferred: CandidateRecord | None
-    conflict: bool
+    preferred: CandidateRecord
+    conflict: bool  # implies a cited member
     cited_member: CandidateRecord | None = None
-    member_scores: tuple[tuple[str, MatchScore], ...] = ()
 
 
 def _linked_component(cluster: MatchCluster, anchor: CandidateRecord) -> list[CandidateRecord]:
@@ -57,8 +56,6 @@ def _cited_member(entry: ReferenceInput,
                   members: list[CandidateRecord]) -> CandidateRecord | None:
     """The member whose direct identifiers match what the entry cites."""
     entry_ids = set(entry.identifier_map().items())
-    if not entry_ids:
-        return None
     for member in members:
         if entry_ids & set(member.identifier_map().items()):
             return member
@@ -94,7 +91,6 @@ def group_manifestations(cluster: MatchCluster, entry: ReferenceInput) -> Manife
         preferred=preferred,
         conflict=conflict,
         cited_member=cited,
-        member_scores=tuple(sorted(scores.items())),
     )
 
 
@@ -102,10 +98,8 @@ def resolve_preference(mset: ManifestationSet) -> tuple[CandidateRecord, Issue |
     """Preferred record plus a manifestation_conflict issue when the author's
     cited manifestation would be overridden. Conflicted entries cap at
     needs_review downstream, never a silent rewrite."""
-    if mset.preferred is None:
-        raise ValueError("manifestation set has no members")
     issue = None
-    if mset.conflict and mset.cited_member is not None:
+    if mset.conflict:
         issue = Issue(
             code="manifestation_conflict",
             detail=(f"entry cites the {mset.cited_member.manifestation_kind} "

@@ -32,6 +32,7 @@ from .extraction.models import ReferenceInput
 from .sources import (CandidateRecord, Query, QueryOutcome, SourceConfig, Transport,
                       query_source, sort_candidates, supports)
 from .sources.models import DEFAULT_QUERY_LIMIT, SOURCES
+from .textnorm import STOP_WORDS  # noqa: F401  (re-exported)
 
 VERIFIED_THRESHOLD = 0.9
 WEAK_THRESHOLD = 0.6
@@ -52,16 +53,6 @@ BLOCKING_ISSUES = frozenset({"identifier_conflict", "manifestation_conflict",
 
 STATUSES = ("verified", "needs_review", "unresolved", "not_checked")
 
-# Exactly 50 entries; relaxed (pass 3) queries drop these before truncating
-# the title to its first 6 content words.
-STOP_WORDS = frozenset({
-    "a", "about", "above", "after", "against", "all", "an", "and", "any", "are",
-    "as", "at", "be", "been", "between", "both", "but", "by", "for", "from",
-    "further", "has", "have", "in", "into", "is", "it", "its", "more", "no",
-    "not", "of", "on", "or", "over", "so", "some", "such", "than", "that",
-    "the", "their", "this", "through", "to", "under", "until", "up", "via",
-    "with",
-})
 
 # Venue tokens expanded before similarity; keys are period-stripped tokens.
 VENUE_ABBREVIATIONS = {
@@ -261,9 +252,7 @@ def score_match(entry: ReferenceInput, candidate: CandidateRecord,
 
 def relaxed_query_text(title: str) -> str:
     """First 6 content words of the title, stop words removed."""
-    folded = textnorm.fold_diacritics(title).casefold()
-    words = [w for w in re.split(r"[^0-9a-z]+", folded) if w and w not in STOP_WORDS]
-    return " ".join(words[:RELAXED_QUERY_WORDS])
+    return " ".join(textnorm.content_words(title)[:RELAXED_QUERY_WORDS])
 
 
 def source_pass_query(entry: ReferenceInput, pass_number: int, source: str,
@@ -398,21 +387,17 @@ def derive_issues(entry: ReferenceInput, best_cluster: MatchCluster | None,
     """Classify discrepancies between the entry and its best cluster.
 
     At most one issue per code; codes are the only classification channel.
-    `chosen` defaults to the cluster's best-scoring member.
+    `chosen` comes with its `chosen_score`; both default to the cluster's
+    best-scoring member and its score.
     """
-    issues: dict[str, Issue] = {}
     if best_cluster is None:
-        issues["insufficient_evidence"] = Issue(
-            code="insufficient_evidence",
-            detail="no candidate records retrieved after all passes")
-        return [issues["insufficient_evidence"]]
+        return [Issue(code="insufficient_evidence",
+                      detail="no candidate records retrieved after all passes")]
 
     if chosen is None:
-        chosen = best_cluster.best_member
-        chosen_score = best_cluster.best_score
-    if chosen_score is None:
-        chosen_score = score_match(entry, chosen)
+        chosen, chosen_score = best_cluster.best_member, best_cluster.best_score
 
+    issues: dict[str, Issue] = {}
     if chosen_score.title_sim < TITLE_MISMATCH_THRESHOLD:
         issues["title_mismatch"] = Issue(
             code="title_mismatch",
@@ -506,12 +491,11 @@ def _verdict(state: _Retrieval, any_enabled: bool) -> EntryVerdict:
     best_cluster = clusters[0] if clusters else None
     chosen: CandidateRecord | None = None
     chosen_score: MatchScore | None = None
-    issues: list[Issue] = []
 
     if best_cluster is not None:
         mset = manifestations.group_manifestations(best_cluster, entry)
         chosen, conflict_issue = manifestations.resolve_preference(mset)
-        chosen_score = dict(mset.member_scores)[_member_key(chosen)]
+        chosen_score = dict(best_cluster.member_scores)[_member_key(chosen)]
         issues = derive_issues(entry, best_cluster, chosen, chosen_score)
         if conflict_issue is not None:
             issues = sorted(issues + [conflict_issue],

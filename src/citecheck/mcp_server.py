@@ -104,7 +104,10 @@ class McpServer:
         return payload, run.apply_error is not None
 
     def _send(self, message: dict) -> None:
-        self.stdout.write(json.dumps(message, ensure_ascii=False) + "\n")
+        line = json.dumps(message, ensure_ascii=False)
+        for char in "\x85\u2028\u2029":  # line breaks to str.splitlines, left raw by json
+            line = line.replace(char, f"\\u{ord(char):04x}")
+        self.stdout.write(line + "\n")
         self.stdout.flush()
 
     def _result(self, request_id, result: dict) -> None:

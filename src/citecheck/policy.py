@@ -35,6 +35,13 @@ class BatchSummary:
     manifestation_conflict_count: int = 0
     unsafe_key_rewrite_count: int = 0
 
+    @property
+    def safety(self) -> dict[str, int]:
+        """The counts that block write-back whatever the ratios, by name."""
+        return {"duplicate_keys": self.duplicate_key_count,
+                "unsafe_key_rewrites": self.unsafe_key_rewrite_count,
+                "manifestation_conflicts": self.manifestation_conflict_count}
+
     def failure_count(self, failure: str) -> int:
         return dict(self.failures_by_class).get(failure, 0)
 
@@ -182,19 +189,16 @@ def evaluate_policy(summary: BatchSummary, preset: PolicyPreset) -> PolicyDecisi
                             f"observed {summary.verified_ratio:.3f} < bound "
                             f"{preset.min_verified_ratio:.3f}"))
 
-    safety_clear = (summary.duplicate_key_count == 0
-                    and summary.unsafe_key_rewrite_count == 0
-                    and summary.manifestation_conflict_count == 0)
-    if not safety_clear:
-        if summary.duplicate_key_count:
-            reasons.append(("replacement_blocked_duplicate_keys",
-                            f"{summary.duplicate_key_count} duplicate-key findings"))
-        if summary.unsafe_key_rewrite_count:
-            reasons.append(("replacement_blocked_unsafe_key_rewrites",
-                            f"{summary.unsafe_key_rewrite_count} unsafe key rewrites"))
-        if summary.manifestation_conflict_count:
-            reasons.append(("replacement_blocked_manifestation_conflicts",
-                            f"{summary.manifestation_conflict_count} manifestation conflicts"))
+    safety_clear = not any(summary.safety.values())
+    if summary.duplicate_key_count:
+        reasons.append(("replacement_blocked_duplicate_keys",
+                        f"{summary.duplicate_key_count} duplicate-key findings"))
+    if summary.unsafe_key_rewrite_count:
+        reasons.append(("replacement_blocked_unsafe_key_rewrites",
+                        f"{summary.unsafe_key_rewrite_count} unsafe key rewrites"))
+    if summary.manifestation_conflict_count:
+        reasons.append(("replacement_blocked_manifestation_conflicts",
+                        f"{summary.manifestation_conflict_count} manifestation conflicts"))
 
     review_clear = (summary.needs_review_ratio == 0
                     or preset.allow_replacement_with_needs_review)

@@ -1,5 +1,9 @@
 """Rewrite planning and application.
 
+One rule decides what a correction changes: `_field_diffs` compares an entry
+with its merged view. An eligible BibTeX entry gets field updates, a text
+entry is rewritten whole unless only its authors differ, .docx is review-only.
+
 Planning is pure: it reads the current file bytes, records their digests,
 and emits non-overlapping byte-span patches. Application re-hashes before
 touching anything, so a file edited since planning raises StaleFile rather
@@ -21,7 +25,7 @@ from .. import textnorm
 from ..errors import AlignmentMismatch, BlockedByPolicy, StaleFile, WriteDenied
 from ..extraction import ExtractionResult, decode_exact, read_text_exact
 from ..extraction.bibtex import BibEntry, char_to_byte_spans, parse_bibtex
-from ..extraction.latex import find_cited_keys
+from ..extraction.latex import BIBITEM_RE, find_cited_keys
 from ..extraction.models import RawReference, ReferenceInput
 from ..extraction.text import entry_marker
 from ..matching import BLOCKING_ISSUES, EntryVerdict
@@ -95,8 +99,7 @@ def _patched_paths(extraction: ExtractionResult) -> list[str]:
 def replacement_eligible(verdict: EntryVerdict, allow_needs_review: bool) -> bool:
     if verdict.chosen is None:
         return False
-    blocking = any(i.code in BLOCKING_ISSUES for i in verdict.issues)
-    if blocking:
+    if any(i.code in BLOCKING_ISSUES for i in verdict.issues):
         return False
     if verdict.status == "verified":
         return True
@@ -111,28 +114,21 @@ def _norm_eq(a: str | None, b: str | None) -> bool:
     return textnorm.match_key(a) == textnorm.match_key(b)
 
 
-def _author_eq(entry_authors, chosen_authors) -> bool:
-    if not chosen_authors:
-        return True
-    a = [textnorm.family_key(f) for f, _ in entry_authors]
-    b = [textnorm.family_key(f) for f, _ in chosen_authors]
-    return a == b
-
-
-def _bibtex_field_diffs(entry: ReferenceInput, chosen: CandidateRecord) -> list[tuple[str, str]]:
-    """(field, new value) pairs that bring the cited entry up to the chosen record."""
+def _field_diffs(entry: ReferenceInput, merged: MergedEntry) -> list[tuple[str, str]]:
+    """(BibTeX field, value) pairs the merged entry corrects; none without a record."""
     diffs: list[tuple[str, str]] = []
-    if chosen.title and not _norm_eq(entry.title, chosen.title):
-        diffs.append(("title", chosen.title))
-    if chosen.authors and not _author_eq(entry.authors, chosen.authors):
-        diffs.append(("author", bibtex_authors(chosen.authors)))
-    if chosen.year is not None and entry.year != chosen.year:
-        diffs.append(("year", str(chosen.year)))
-    if chosen.venue and not _norm_eq(entry.venue, chosen.venue):
-        field = "booktitle" if entry.entry_kind == "conference" else "journal"
-        diffs.append((field, chosen.venue))
-    if chosen.doi and entry.doi != chosen.doi:
-        diffs.append(("doi", chosen.doi))
+    if not _norm_eq(entry.title, merged.title):
+        diffs.append(("title", merged.title))
+    if ([textnorm.family_key(f) for f, _ in entry.authors]
+            != [textnorm.family_key(f) for f, _ in merged.authors]):
+        diffs.append(("author", bibtex_authors(merged.authors)))
+    if entry.year != merged.year:
+        diffs.append(("year", str(merged.year)))
+    if not _norm_eq(entry.venue, merged.venue):
+        diffs.append(("booktitle" if entry.entry_kind == "conference" else "journal",
+                      merged.venue))
+    if entry.doi != merged.doi:
+        diffs.append(("doi", merged.doi))
     return diffs
 
 
@@ -168,11 +164,10 @@ def _locate_bib_entry(raw: RawReference,
         replace(f, value_span=span) for f, span in zip(entry.fields, value_spans)))
 
 
-def _plan_bibtex_patches(entry: ReferenceInput, chosen: CandidateRecord | None,
+def _plan_bibtex_patches(entry: ReferenceInput, diffs: list[tuple[str, str]],
                          new_key: str | None,
                          files: dict[str, tuple[bytes, str]]) -> list[Patch]:
-    """Field updates toward `chosen` and a rename to `new_key`, either optional."""
-    diffs = _bibtex_field_diffs(entry, chosen) if chosen is not None else []
+    """Field updates for `diffs` and a rename to `new_key`, either optional."""
     if not diffs and new_key is None:
         return []
     bib_entry = _locate_bib_entry(entry.raw, files)
@@ -198,23 +193,25 @@ def _plan_bibtex_patches(entry: ReferenceInput, chosen: CandidateRecord | None,
                   entry_ordinal=entry.ordinal, kind=kind) for span, text, kind in edits]
 
 
-def _plan_text_patches(entry: ReferenceInput, merged: MergedEntry,
-                       files: dict[str, tuple[bytes, str]]) -> list[Patch]:
+def _plan_text_patches(entry: ReferenceInput, diffs: list[tuple[str, str]],
+                       merged: MergedEntry, files: dict[str, tuple[bytes, str]]) -> list[Patch]:
     if entry.raw.origin_format == "docx":
         return []  # review-only format, no write-back path
-    if _text_entry_current(entry, merged) or _unmoved_codec(entry.raw, files) is None:
+    # Authors alone call for no rewrite: not every author list reads back as
+    # written (see patch_text_entry), and such an entry would be patched on every run.
+    if (all(name == "author" for name, _ in diffs)
+            or _unmoved_codec(entry.raw, files) is None):
         return []
     body = patch_text_entry(merged)
     original = entry.raw.original_text
     if entry.raw.origin_format == "tex" and original.lstrip().startswith("\\bibitem"):
-        head_len = len(original) - len(original.lstrip())
-        brace_end = original.find("}", head_len)
-        if brace_end == -1:
+        # The head as extraction read it, optional [label] and {key} included.
+        head = BIBITEM_RE.match(original, len(original) - len(original.lstrip()))
+        if head is None:
             return []
-        replacement = original[: brace_end + 1] + "\n" + body + "\n"
+        replacement = original[: head.end()] + "\n" + body + "\n"
     else:
-        marker = entry_marker(original) or ""
-        replacement = f"{marker}{body}"
+        replacement = (entry_marker(original) or "") + body
     return [Patch(
         target_path=entry.raw.source_path,
         span=entry.raw.source_span,
@@ -222,13 +219,6 @@ def _plan_text_patches(entry: ReferenceInput, merged: MergedEntry,
         entry_ordinal=entry.ordinal,
         kind="entry_replace",
     )]
-
-
-def _text_entry_current(entry: ReferenceInput, merged: MergedEntry) -> bool:
-    return (_norm_eq(entry.title, merged.title)
-            and entry.year == merged.year
-            and entry.doi == merged.doi
-            and _norm_eq(entry.venue, merged.venue))
 
 
 def _encodable(patches: list[Patch], files: dict[str, tuple[bytes, str]]) -> list[Patch]:
@@ -272,11 +262,6 @@ def plan_rewrite(artifact_path: str | Path, extraction: ExtractionResult,
 
     pairs = eligible_pairs(verdicts, policy.preset.allow_replacement_with_needs_review)
 
-    summary = policy.summary
-    safety = {"duplicate_keys": summary.duplicate_key_count,
-              "unsafe_key_rewrites": summary.unsafe_key_rewrite_count,
-              "manifestation_conflicts": summary.manifestation_conflict_count}
-
     # path -> (bytes, codec): read once, hashed, and planned over.
     files: dict[str, tuple[bytes, str]] = {}
     for path in dict.fromkeys([str(Path(artifact_path)), *_patched_paths(extraction)]):
@@ -289,14 +274,13 @@ def plan_rewrite(artifact_path: str | Path, extraction: ExtractionResult,
     if mode == "replacement" and not blocked:
         renames = (dict(key_mapping.mapping)
                    if regenerate_keys and not key_mapping.unsafe else {})
-        for (entry, chosen), merged_entry in zip(pairs, merge_pairs(pairs)):
+        for (entry, _), merged in zip(pairs, merge_pairs(pairs)):
+            diffs = _field_diffs(entry, merged)
             if entry.raw.origin_format == "bibtex":
-                planned = _plan_bibtex_patches(entry, chosen,
+                planned = _plan_bibtex_patches(entry, diffs,
                                                renames.get(entry.citation_key), files)
-            elif chosen is not None:
-                planned = _plan_text_patches(entry, merged_entry, files)
             else:
-                continue
+                planned = _plan_text_patches(entry, diffs, merged, files)
             patches += _encodable(planned, files)
 
     patches.sort(key=lambda p: (p.target_path, p.span[0], p.span[1]))
@@ -307,7 +291,7 @@ def plan_rewrite(artifact_path: str | Path, extraction: ExtractionResult,
         mode=mode,
         patches=tuple(patches),
         key_mapping=key_mapping,
-        safety=safety,
+        safety=policy.summary.safety,
         content_digests=tuple((path, file_digest(data)) for path, (data, _) in files.items()),
         encodings=tuple((path, encoding) for path, (_, encoding) in files.items()),
         blocked=blocked,

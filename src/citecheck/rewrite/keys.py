@@ -12,7 +12,6 @@ import re
 
 from .. import textnorm
 from ..extraction.models import ReferenceInput
-from ..matching import STOP_WORDS
 
 
 def _slug(text: str) -> str:
@@ -20,13 +19,8 @@ def _slug(text: str) -> str:
 
 
 def _first_content_word(title: str | None) -> str:
-    if not title:
-        return "untitled"
-    folded = textnorm.fold_diacritics(title).casefold()
-    for word in re.split(r"[^0-9a-z]+", folded):
-        if word and word not in STOP_WORDS:
-            return word
-    return "untitled"
+    words = textnorm.content_words(title or "")
+    return words[0] if words else "untitled"
 
 
 def generate_citation_key(entry: ReferenceInput) -> str:

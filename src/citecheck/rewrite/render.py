@@ -2,15 +2,18 @@
 
 Every renderer works from the same merged view: the chosen source record
 overrides title/authors/year/venue/identifiers, the cited entry supplies
-everything else (volume, pages, leftover BibTeX fields). Output is fully
-deterministic; the BibTeX form is a parser fixed point, which the
-round-trip suite pins byte-for-byte.
+everything else (volume, pages, leftover BibTeX fields). Each format but
+JSON renders one entry at a time, and one helper numbers and joins them.
+Output is fully deterministic; the BibTeX form is a parser fixed point,
+which the round-trip suite pins byte-for-byte.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from ..errors import UnsupportedFormat
 from ..extraction.models import ReferenceInput
@@ -65,36 +68,27 @@ def merge_entry(entry: ReferenceInput, chosen: CandidateRecord | None,
         (name, value) for name, value in entry.fields.items()
         if not name.startswith("_") and name not in _OWNED_FIELDS and value.strip()
     ))
-    if chosen is None:
-        return MergedEntry(
-            key=key, kind=kind, title=entry.title, authors=entry.authors,
-            year=entry.year, venue=entry.venue, doi=entry.doi, pmid=entry.pmid,
-            arxiv_id=entry.arxiv_id, volume=entry.fields.get("volume"),
-            pages=entry.fields.get("pages"), extra_fields=extras, verified=False,
-        )
+    record = chosen or entry
     return MergedEntry(
         key=key, kind=kind,
-        title=chosen.title or entry.title,
-        authors=chosen.authors or entry.authors,
-        year=chosen.year if chosen.year is not None else entry.year,
-        venue=chosen.venue or entry.venue,
-        doi=chosen.doi or entry.doi,
-        pmid=chosen.pmid or entry.pmid,
-        arxiv_id=chosen.arxiv_id or entry.arxiv_id,
+        title=record.title or entry.title,
+        authors=record.authors or entry.authors,
+        year=record.year if record.year is not None else entry.year,
+        venue=record.venue or entry.venue,
+        doi=record.doi or entry.doi,
+        pmid=record.pmid or entry.pmid,
+        arxiv_id=record.arxiv_id or entry.arxiv_id,
         volume=entry.fields.get("volume"),
         pages=entry.fields.get("pages"),
         extra_fields=extras,
-        verified=True,
+        verified=chosen is not None,
     )
 
 
 def merge_pairs(pairs: list[tuple[ReferenceInput, CandidateRecord | None]]) -> list[MergedEntry]:
     keys = assign_citation_keys([entry for entry, _ in pairs])
-    merged = []
-    for entry, chosen in pairs:
-        key = entry.citation_key or keys[entry.ordinal]
-        merged.append(merge_entry(entry, chosen, key))
-    return merged
+    return [merge_entry(entry, chosen, entry.citation_key or keys[entry.ordinal])
+            for entry, chosen in pairs]
 
 
 def render_bibliography(pairs: list[tuple[ReferenceInput, CandidateRecord | None]],
@@ -112,10 +106,7 @@ def bibtex_authors(authors: tuple[tuple[str, str], ...]) -> str:
 
 
 def _author_display(authors: tuple[tuple[str, str], ...]) -> str:
-    parts = []
-    for family, given in authors:
-        parts.append(f"{given} {family}".strip())
-    return ", ".join(parts)
+    return ", ".join(f"{given} {family}".strip() for family, given in authors)
 
 
 def render_bibtex_entry(m: MergedEntry) -> str:
@@ -150,13 +141,7 @@ def render_bibtex_entry(m: MergedEntry) -> str:
     return "\n".join(lines)
 
 
-def _render_bibtex(merged: list[MergedEntry]) -> str:
-    if not merged:
-        return ""
-    return "\n\n".join(render_bibtex_entry(m) for m in merged) + "\n"
-
-
-def render_text_entry(m: MergedEntry, number: int | None = None) -> str:
+def render_text_entry(m: MergedEntry) -> str:
     parts = []
     if m.authors:
         parts.append(_author_display(m.authors) + ".")
@@ -171,14 +156,7 @@ def render_text_entry(m: MergedEntry, number: int | None = None) -> str:
         parts.append(f"arXiv:{m.arxiv_id}.")
     if m.pmid:
         parts.append(f"PMID:{m.pmid}.")
-    body = " ".join(parts)
-    return f"[{number}] {body}" if number is not None else body
-
-
-def _render_text(merged: list[MergedEntry]) -> str:
-    if not merged:
-        return ""
-    return "\n".join(render_text_entry(m, i + 1) for i, m in enumerate(merged)) + "\n"
+    return " ".join(parts)
 
 
 def patch_text_entry(m: MergedEntry) -> str:
@@ -187,7 +165,9 @@ def patch_text_entry(m: MergedEntry) -> str:
     Display rendering puts the year after the venue, but that layout does
     not survive re-extraction when authors are cited initials-first
     ("T. Brown." never ends a chunk). Patches instead lead with
-    "Family, G. (Year)." so extract -> patch -> extract is a fixed point.
+    "Family, G. (Year).", so all but the authors read back as written. A
+    given name other than ASCII initials ("Smith-Jones, Mary Ann") reads
+    back as another author.
     """
     parts = []
     authors = bibtex_authors(m.authors)
@@ -210,50 +190,50 @@ def patch_text_entry(m: MergedEntry) -> str:
     return " ".join(parts)
 
 
-def _render_markdown(merged: list[MergedEntry]) -> str:
-    if not merged:
-        return ""
-    lines = []
-    for i, m in enumerate(merged, start=1):
-        link = None
-        if m.doi:
-            link = f"https://doi.org/{m.doi}"
-        elif m.arxiv_id:
-            link = f"https://arxiv.org/abs/{m.arxiv_id}"
-        title = m.title or "(untitled)"
-        title_part = f"[{title}]({link})" if link else title
-        lead = _author_display(m.authors)
-        year_part = f" ({m.year})" if m.year is not None else ""
-        venue_part = f" *{m.venue}*." if m.venue else ""
-        head = f"{lead}{year_part}. " if lead else ""
-        lines.append(f"{i}. {head}{title_part}.{venue_part}")
-    return "\n".join(lines) + "\n"
+def render_markdown_entry(m: MergedEntry) -> str:
+    link = None
+    if m.doi:
+        link = f"https://doi.org/{m.doi}"
+    elif m.arxiv_id:
+        link = f"https://arxiv.org/abs/{m.arxiv_id}"
+    title = m.title or "(untitled)"
+    title_part = f"[{title}]({link})" if link else title
+    lead = _author_display(m.authors)
+    year_part = f" ({m.year})" if m.year is not None else ""
+    venue_part = f" *{m.venue}*." if m.venue else ""
+    head = f"{lead}{year_part}. " if lead else ""
+    return f"{head}{title_part}.{venue_part}"
 
 
-def _render_endnote(merged: list[MergedEntry]) -> str:
+def render_endnote_entry(m: MergedEntry) -> str:
+    lines = [f"%0 {_ENDNOTE_TYPE.get(m.kind, 'Generic')}"]
+    for family, given in m.authors:
+        lines.append(f"%A {family}, {given}" if given else f"%A {family}")
+    if m.title:
+        lines.append(f"%T {m.title}")
+    if m.venue:
+        lines.append(f"%J {m.venue}")
+    if m.year is not None:
+        lines.append(f"%D {m.year}")
+    if m.volume:
+        lines.append(f"%V {m.volume}")
+    if m.pages:
+        lines.append(f"%P {m.pages}")
+    if m.doi:
+        lines.append(f"%R {m.doi}")
+    if m.pmid:
+        lines.append(f"%M {m.pmid}")
+    return "\n".join(lines)
+
+
+def _render_entries(render_one: Callable[[MergedEntry], str], separator: str, label: str,
+                    merged: list[MergedEntry]) -> str:
+    """Each entry after `label` filled with its 1-based number, joined by
+    `separator` and newline-ended; "" for no entries."""
     if not merged:
         return ""
-    blocks = []
-    for m in merged:
-        lines = [f"%0 {_ENDNOTE_TYPE.get(m.kind, 'Generic')}"]
-        for family, given in m.authors:
-            lines.append(f"%A {family}, {given}" if given else f"%A {family}")
-        if m.title:
-            lines.append(f"%T {m.title}")
-        if m.venue:
-            lines.append(f"%J {m.venue}")
-        if m.year is not None:
-            lines.append(f"%D {m.year}")
-        if m.volume:
-            lines.append(f"%V {m.volume}")
-        if m.pages:
-            lines.append(f"%P {m.pages}")
-        if m.doi:
-            lines.append(f"%R {m.doi}")
-        if m.pmid:
-            lines.append(f"%M {m.pmid}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
+    return separator.join(label.format(number) + render_one(m)
+                          for number, m in enumerate(merged, start=1)) + "\n"
 
 
 def _render_json(merged: list[MergedEntry]) -> str:
@@ -279,8 +259,8 @@ def _render_json(merged: list[MergedEntry]) -> str:
 # One renderer per output format, in RENDER_FORMATS order.
 RENDERERS = {
     "json": _render_json,
-    "bibtex": _render_bibtex,
-    "text": _render_text,
-    "markdown": _render_markdown,
-    "endnote": _render_endnote,
+    "bibtex": partial(_render_entries, render_bibtex_entry, "\n\n", ""),
+    "text": partial(_render_entries, render_text_entry, "\n", "[{}] "),
+    "markdown": partial(_render_entries, render_markdown_entry, "\n", "{}. "),
+    "endnote": partial(_render_entries, render_endnote_entry, "\n\n", ""),
 }

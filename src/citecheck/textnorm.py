@@ -28,6 +28,17 @@ _ARXIV_CONTEXT_RE = re.compile(
 )
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
+
+# Exactly 50 entries; relaxed (pass 3) queries and citation keys skip these
+# for a title's content words.
+STOP_WORDS = frozenset({
+    "a", "about", "above", "after", "against", "all", "an", "and", "any", "are",
+    "as", "at", "be", "been", "between", "both", "but", "by", "for", "from",
+    "further", "has", "have", "in", "into", "is", "it", "its", "more", "no",
+    "not", "of", "on", "or", "over", "so", "some", "such", "than", "that",
+    "the", "their", "this", "through", "to", "under", "until", "up", "via",
+    "with",
+})
 _WS_RE = re.compile(r"\s+")
 
 _SPECIAL_LETTERS = str.maketrans({
@@ -51,6 +62,12 @@ def normalize_display(text: str) -> str:
 def match_tokens(text: str) -> frozenset[str]:
     """Casefolded, diacritic-folded, punctuation-stripped token set for matching."""
     return frozenset(_TOKEN_RE.findall(fold_diacritics(text).casefold()))
+
+
+def content_words(title: str) -> list[str]:
+    """The title's diacritic-folded, casefolded words in order, stop words dropped."""
+    return [w for w in _TOKEN_RE.findall(fold_diacritics(title).casefold())
+            if w not in STOP_WORDS]
 
 
 def jaccard(ta: frozenset[str], tb: frozenset[str]) -> float:

@@ -336,7 +336,9 @@ def make_docx(paragraphs: list[str], split_runs: bool = False) -> bytes:
     xml = _DOCX_XML_HEAD + "".join(body) + "</w:body></w:document>"
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as archive:
-        archive.writestr("word/document.xml", xml)
+        # A fixed timestamp: two corpus builds give the same bytes.
+        archive.writestr(zipfile.ZipInfo("word/document.xml", (1980, 1, 1, 0, 0, 0)), xml,
+                         compress_type=zipfile.ZIP_DEFLATED)
     return buffer.getvalue()
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -175,9 +177,14 @@ def test_docx_runs_are_concatenated():
     assert extract_docx_text(payload) == ["Walters"]
 
 
+def test_test_docx_bytes_do_not_depend_on_the_clock():
+    """The corpus .docx is stamped with a fixed date, so every build of the
+    corpus gives the same bytes and the same plan digests."""
+    with zipfile.ZipFile(io.BytesIO(corpus.make_docx(["Hello"]))) as archive:
+        assert archive.getinfo("word/document.xml").date_time == (1980, 1, 1, 0, 0, 0)
+
+
 def test_docx_missing_document_part():
-    import io
-    import zipfile
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w") as archive:
         archive.writestr("word/other.xml", "<x/>")

@@ -256,6 +256,15 @@ def test_any_tool_call_params_get_a_reply(params, tmp_path, monkeypatch):
     assert len(responses[1]["result"]["tools"]) == 6
 
 
+def test_unicode_line_breaks_stay_inside_their_message():
+    """U+0085, U+2028 and U+2029 end a line for str.splitlines: a reply that
+    echoes them still reads as one message per line."""
+    name = "\x85\u2028\u2029"
+    responses = _exchange([{"jsonrpc": "2.0", "id": 1, "method": "tools/call",
+                            "params": {"name": name}}])
+    assert len(responses) == 1 and name in responses[0]["error"]["message"]
+
+
 # Carry-over: a pipeline call starts from the previous call's outcomes.
 def _replay_args(corpus_paths, folder: str, fixtures=None) -> dict:
     return {"path": str(corpus_paths[folder]), "transport": "replay",

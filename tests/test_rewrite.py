@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import corpus
 from citecheck.errors import BlockedByPolicy, StaleFile, UnsupportedFormat, WriteDenied
 from citecheck.extraction import extract_references, parse_bibtex
+from citecheck.extraction.latex import extract_bibitems
 from citecheck.matching import verify_entries
 from citecheck.pipeline import run_repair
 from citecheck.policy import PRESETS, evaluate_policy, summarize_batch
@@ -518,6 +519,48 @@ def test_inline_bibitem_entry_replace(corpus_paths, tmp_path):
     assert "\\end{thebibliography}" in content
     after = extract_references(workspace / "inline.tex")
     assert after.entries[0].doi == spec.doi
+
+
+def test_natbib_bibitem_head_survives_entry_replace(corpus_paths, tmp_path):
+    """A natbib label may hold braces; the rewrite keeps the whole head, so
+    the key every \\cite names is still there."""
+    spec = corpus.MAIN_TXT[4]
+    workspace = tmp_path / "natbib"
+    workspace.mkdir()
+    head = f"\\bibitem[{{Brown({spec.year})}}]{{ok1}}"
+    tex = ("\\begin{document}\nBody~\\citet{ok1}.\n\\begin{thebibliography}{9}\n"
+           f"{head} Brown, T. ({spec.year}). {spec.title}. {spec.venue}.\n"
+           "\\end{thebibliography}\n\\end{document}\n")
+    (workspace / "natbib.tex").write_text(tex)
+    _, _, _, plan = _run_pipeline(workspace, "natbib.tex", corpus_paths)
+    assert [p.kind for p in plan.patches] == ["entry_replace"]
+    assert plan.patches[0].replacement_text.startswith(head + "\n")
+    apply_rewrite(plan, "replace")
+    content = (workspace / "natbib.tex").read_text()
+    assert [item.key for item in extract_bibitems(content)] == ["ok1"]
+    assert extract_references(workspace / "natbib.tex").entries[0].doi == spec.doi
+
+
+@pytest.mark.parametrize("fmt", ["txt", "bib"])
+def test_authors_alone_correct_a_bib_entry_but_not_a_text_entry(corpus_paths, tmp_path, fmt):
+    """Only the author list is wrong. A .bib entry gets its author field
+    updated; a text entry is left as it is, since not every author list
+    reads back from a rewritten text entry as written."""
+    spec = dataclasses.replace(corpus.MAIN_TXT[0], authors=(("Okamura", "K."),))
+    workspace = tmp_path / fmt
+    workspace.mkdir()
+    if fmt == "txt":
+        corpus.write_txt(workspace / "refs.txt", [spec], include_rejected=False)
+    else:
+        corpus.write_bib(workspace / "refs.bib", [spec])
+    _, verdicts, decision, plan = _run_pipeline(workspace, f"refs.{fmt}", corpus_paths)
+    assert decision.replacement_allowed
+    assert verdicts[0].chosen.authors == corpus.MAIN_TXT[0].authors
+    if fmt == "txt":
+        assert plan.patches == ()
+    else:
+        assert [(p.kind, p.replacement_text) for p in plan.patches] == [
+            ("field_update", "{Okamoto, K.}")]
 
 
 def test_manuscript_edited_after_extraction_gets_no_entry_replace(corpus_paths, tmp_path):

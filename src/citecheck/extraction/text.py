@@ -218,8 +218,21 @@ def _clean_venue(chunk: str) -> str:
     return chunk.strip(" ,;.").strip()
 
 
+def _is_initials(token: str) -> bool:
+    """Initials, optionally then one given name: "J.", "J. A.", "Ü.", "J. Alan"."""
+    shape = "".join("A" if c.isupper() else "a" if c.islower() else c for c in token)
+    return re.fullmatch(r"(?:A\.?\s*)+(?:Aa+)?", shape) is not None
+
+
 def split_freetext_authors(author_text: str) -> list[tuple[str, str]]:
-    """Author list from free text: ';' wins, then BibTeX-ish 'and', then comma pairing."""
+    """Author list from free text: ';' wins, then BibTeX-ish 'and', then comma pairing.
+
+    Commas pair "Family, I." tokens. A list whose last author, after its
+    final 'and', is written "Family, Given" is in that form throughout, so
+    its tokens pair two by two whatever the given names are ("Smith-Jones,
+    Mary Ann and Doe, Jane"). A lone "Doe, Jane" has no 'and' to tell it
+    from two one-word names, and reads as two authors.
+    """
     author_text = re.sub(r",?\s*(?:and|&)\s+et al\.?$", "", author_text, flags=re.IGNORECASE)
     author_text = re.sub(r",?\s*et al\.?$", "", author_text, flags=re.IGNORECASE).strip()
     if not author_text:
@@ -227,15 +240,17 @@ def split_freetext_authors(author_text: str) -> list[tuple[str, str]]:
     if ";" in author_text:
         parts = [p.strip() for p in author_text.split(";") if p.strip()]
         return [textnorm.split_person_name(p) for p in parts]
-    # Normalize " and " / "&" to commas, then pair "Family, I." tokens.
-    flattened = re.sub(r"\s+(?:and|&)\s+", ", ", author_text)
-    tokens = [t.strip() for t in flattened.split(",") if t.strip()]
+    # Normalize " and " / "&" to commas, then pair "Family, Given" tokens.
+    parts = re.split(r"\s+(?:and|&)\s+", author_text)
+    tokens = [t.strip() for t in ", ".join(parts).split(",") if t.strip()]
+    family_first = (len(parts) > 1 and parts[-1].count(",") == 1
+                    and len(tokens) % 2 == 0)
     authors: list[tuple[str, str]] = []
     i = 0
     while i < len(tokens):
         token = tokens[i]
         nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-        if nxt is not None and re.fullmatch(r"(?:[A-Z]\.?\s*)+(?:[A-Z][a-z]+)?", nxt):
+        if nxt is not None and (family_first or _is_initials(nxt)):
             authors.append((token, nxt))
             i += 2
         else:

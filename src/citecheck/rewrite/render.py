@@ -165,9 +165,9 @@ def patch_text_entry(m: MergedEntry) -> str:
     Display rendering puts the year after the venue, but that layout does
     not survive re-extraction when authors are cited initials-first
     ("T. Brown." never ends a chunk). Patches instead lead with
-    "Family, G. (Year).", so all but the authors read back as written. A
-    given name other than ASCII initials ("Smith-Jones, Mary Ann") reads
-    back as another author.
+    "Family, G. (Year).", so everything reads back as written, except a
+    lone author with a full given name: "Doe, Jane" reads back as two
+    one-word names.
     """
     parts = []
     authors = bibtex_authors(m.authors)

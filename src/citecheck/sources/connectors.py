@@ -1,9 +1,12 @@
 """Connectors for PubMed, Crossref, arXiv, and Semantic Scholar.
 
 Each connector documents exactly which wire fields it reads. Remote
-trouble of any kind becomes a FailureClass value; connectors only raise
-for local misuse (disabled source, unsupported query kind), which is a
-programming error by the caller.
+trouble of any kind becomes a FailureClass value: a response that is not
+a 2xx answer takes the class `transport.response_failure` gives it, a 2xx
+body that cannot be parsed is payload_shape, an empty parse is not_found,
+and a missing fixture is transport. Connectors only raise for local
+misuse (disabled source, unsupported query kind), which is a programming
+error by the caller.
 
 Wire formats:
   crossref          REST JSON: message.DOI, .title[0], .author[].family/given,
@@ -23,14 +26,15 @@ from __future__ import annotations
 import json
 import re
 import xml.etree.ElementTree as ET
+from collections import Counter
 from urllib.parse import quote
 
 from .. import textnorm
 from ..errors import FixtureMissing
 from .config import SourceConfig
 from .models import (CandidateRecord, FailureClass, Query, QueryOutcome, SOURCES,
-                     SourceHealth, make_failure)
-from .transport import HttpRequest, RawResponse, Transport, request_key
+                     SourceHealth)
+from .transport import HttpRequest, Transport, response_failure
 
 CROSSREF_WORKS_URL = "https://api.crossref.org/works"
 PUBMED_ESEARCH_URL = "https://eutils.ncbi.nlm.nih.gov/entrez/eutils/esearch.fcgi"
@@ -55,34 +59,6 @@ SOURCE_CAPABILITIES: dict[str, frozenset[str]] = {
 
 def supports(source: str, kind: str) -> bool:
     return kind in SOURCE_CAPABILITIES[source]
-
-
-def classify_failure(status: int | None, body_state: str = "ok",
-                     io_error: str | None = None) -> FailureClass:
-    """Map raw response signals to a failure class.
-
-    io_error -> transport; 401/403 -> authentication; 429 -> rate_limit;
-    404 or an empty result set -> not_found; 5xx -> transport; a 2xx body
-    that cannot be parsed -> payload_shape. Remaining 4xx responses arrived
-    but are unusable, so they also classify as payload_shape.
-    """
-    if io_error is not None:
-        return make_failure("transport", io_error)
-    if status in (401, 403):
-        return make_failure("authentication", f"HTTP {status}")
-    if status == 429:
-        return make_failure("rate_limit", "HTTP 429")
-    if status == 404:
-        return make_failure("not_found", "HTTP 404")
-    if status is not None and status >= 500:
-        return make_failure("transport", f"HTTP {status}")
-    if status is not None and 200 <= status < 300:
-        if body_state == "malformed":
-            return make_failure("payload_shape", "response body could not be parsed")
-        if body_state == "empty":
-            return make_failure("not_found", "empty result set")
-        raise ValueError("classify_failure called with no abnormal signal")
-    return make_failure("payload_shape", f"unexpected HTTP status {status}")
 
 
 # --------------------------------------------------------------------------
@@ -135,20 +111,21 @@ def arxiv_request(query: Query, config: SourceConfig) -> HttpRequest:
     return HttpRequest(source="arxiv", url=ARXIV_QUERY_URL, params=params)
 
 
+# Identifier lookups, each answered by one paper at /paper/<prefix>:<id>;
+# every other query kind is a search answered by a list under "data".
+_S2_LOOKUP_PREFIX = {"doi_lookup": "DOI", "pmid_lookup": "PMID", "arxiv_lookup": "ARXIV"}
+
+
 def s2_request(query: Query, config: SourceConfig) -> HttpRequest:
     headers = (("x-api-key", config.s2_api_key),) if config.s2_api_key else ()
-    if query.kind == "doi_lookup":
-        url = f"{S2_PAPER_URL}/DOI:{quote(query.text, safe='')}"
-    elif query.kind == "pmid_lookup":
-        url = f"{S2_PAPER_URL}/PMID:{query.text}"
-    elif query.kind == "arxiv_lookup":
-        url = f"{S2_PAPER_URL}/ARXIV:{quote(query.text, safe='')}"
-    else:
+    prefix = _S2_LOOKUP_PREFIX.get(query.kind)
+    if prefix is None:
         return HttpRequest(source="semantic_scholar", url=f"{S2_PAPER_URL}/search",
                            params=(("query", query.text), ("limit", str(query.limit)),
                                    ("fields", S2_FIELDS)),
                            headers=headers)
-    return HttpRequest(source="semantic_scholar", url=url,
+    return HttpRequest(source="semantic_scholar",
+                       url=f"{S2_PAPER_URL}/{prefix}:{quote(query.text, safe='')}",
                        params=(("fields", S2_FIELDS),), headers=headers)
 
 
@@ -348,8 +325,7 @@ def parse_s2_paper(paper: dict, provenance: str) -> CandidateRecord | None:
 
 def parse_s2_body(body: bytes, kind: str, provenance: str) -> list[CandidateRecord]:
     data = json.loads(body.decode("utf-8"))
-    papers = data.get("data", []) if kind not in ("doi_lookup", "pmid_lookup",
-                                                  "arxiv_lookup") else [data]
+    papers = [data] if kind in _S2_LOOKUP_PREFIX else data.get("data", [])
     records = []
     for paper in papers:
         record = parse_s2_paper(paper, provenance)
@@ -371,36 +347,18 @@ _SINGLE_REQUEST = {
 }
 
 
-def _fetch_parsed(source: str, query: Query, transport: Transport, request: HttpRequest,
-                  parse) -> list | QueryOutcome:
-    """Fetch one request: parse(body, query kind, request key), or a failure outcome.
-
-    A transport-level problem keeps its class, any exception raised while
-    parsing a 2xx body is payload_shape, and an empty parse is not_found.
-    """
+def _fetch_parsed(query: Query, transport: Transport, request: HttpRequest,
+                  parse) -> list | FailureClass:
+    """Fetch one request: parse(body, query kind, request key), or the failure it is."""
     response = transport.fetch(request)
-    failure = _response_failure(response)
-    if failure is None:
-        try:
-            parsed = parse(response.body, query.kind, request_key(request))
-        except Exception as exc:  # a remote body must never crash the run
-            failure = classify_failure(response.status, "malformed")
-            failure = FailureClass(failure.failure, f"{failure.detail}: {exc}",
-                                   failure.retryable)
-        else:
-            if parsed:
-                return parsed
-            failure = classify_failure(response.status, "empty")
-    return QueryOutcome(source=source, query=query, failure=failure)
-
-
-def _response_failure(response: RawResponse) -> FailureClass | None:
-    """FailureClass for a transport-level problem, None when 2xx arrived."""
-    if response.io_error is not None:
-        return classify_failure(None, io_error=response.io_error)
-    if response.status is None or not (200 <= response.status < 300):
-        return classify_failure(response.status)
-    return None
+    failure = response_failure(response)
+    if failure is not None:
+        return failure
+    try:
+        parsed = parse(response.body, query.kind, request.key)
+    except Exception as exc:  # a remote body must never crash the run
+        return FailureClass("payload_shape", f"response body could not be parsed: {exc}")
+    return parsed or FailureClass("not_found", "empty result set")
 
 
 def query_source(source: str, query: Query, transport: Transport,
@@ -420,29 +378,27 @@ def query_source(source: str, query: Query, transport: Transport,
             result = _query_pubmed(query, transport, config)
         else:
             build, parse = _SINGLE_REQUEST[source]
-            result = _fetch_parsed(source, query, transport, build(query, config), parse)
+            result = _fetch_parsed(query, transport, build(query, config), parse)
     except FixtureMissing as exc:
         # Incomplete fixture stores degrade to a transport failure so replay
         # runs report health instead of crashing mid-batch.
-        return QueryOutcome(source=source, query=query,
-                            failure=make_failure("transport", str(exc)))
-    if isinstance(result, QueryOutcome):
-        return result
+        result = FailureClass("transport", str(exc))
+    if isinstance(result, FailureClass):
+        return QueryOutcome(source=source, query=query, failure=result)
     return QueryOutcome(source=source, query=query, records=tuple(result))
 
 
 def _query_pubmed(query: Query, transport: Transport,
-                  config: SourceConfig) -> list | QueryOutcome:
+                  config: SourceConfig) -> list | FailureClass:
     if query.kind == "pmid_lookup":
         ids = [query.text]
     else:
-        ids = _fetch_parsed("pubmed", query, transport,
-                            pubmed_esearch_request(query, config),
+        ids = _fetch_parsed(query, transport, pubmed_esearch_request(query, config),
                             lambda body, kind, key: parse_pubmed_esearch(body))
-        if isinstance(ids, QueryOutcome):
+        if isinstance(ids, FailureClass):
             return ids
         ids = ids[: query.limit]
-    return _fetch_parsed("pubmed", query, transport, pubmed_esummary_request(ids, config),
+    return _fetch_parsed(query, transport, pubmed_esummary_request(ids, config),
                          lambda body, kind, key: parse_pubmed_esummary(body, key))
 
 
@@ -457,23 +413,18 @@ def summarize_health(outcomes: list[QueryOutcome], config: SourceConfig) -> list
     not_found outcomes count as succeeded: an authoritative "no such
     record" is a working source, not a failing one.
     """
+    # (source, failure class), with None for an outcome that succeeded.
+    counts = Counter((o.source, o.failure.failure if o.failed else None) for o in outcomes)
     health = []
     for source in SOURCES:
-        attempted = succeeded = 0
-        failures: dict[str, int] = {}
-        for outcome in outcomes:
-            if outcome.source != source:
-                continue
-            attempted += 1
-            if outcome.failed:
-                failures[outcome.failure.failure] = failures.get(outcome.failure.failure, 0) + 1
-            else:
-                succeeded += 1
+        failures = sorted((failure, n) for (s, failure), n in counts.items()
+                          if s == source and failure is not None)
+        succeeded = counts[(source, None)]
         health.append(SourceHealth(
             source=source,
-            attempted=attempted,
+            attempted=succeeded + sum(n for _, n in failures),
             succeeded=succeeded,
-            failures_by_class=tuple(sorted(failures.items())),
+            failures_by_class=tuple(failures),
             enabled=config.is_enabled(source),
         ))
     return health

@@ -14,7 +14,8 @@ QUERY_KINDS = ("doi_lookup", "pmid_lookup", "arxiv_lookup",
 FAILURE_CLASSES = ("transport", "authentication", "rate_limit", "payload_shape", "not_found")
 
 # Transient classes: operational trouble rather than content trouble, and
-# the only ones worth retrying.
+# the only ones worth retrying. LiveTransport retries them, and the MCP
+# server's carry across calls skips them.
 TRANSIENT_FAILURES = frozenset({"transport", "rate_limit"})
 
 MANIFESTATION_KINDS = ("journal", "conference", "preprint", "unknown")
@@ -111,16 +112,15 @@ class CandidateRecord:
 class FailureClass:
     failure: str  # transport | authentication | rate_limit | payload_shape | not_found
     detail: str
-    retryable: bool
 
     def __post_init__(self) -> None:
         if self.failure not in FAILURE_CLASSES:
             raise ValueError(f"unknown failure class: {self.failure}")
 
-
-def make_failure(failure: str, detail: str) -> FailureClass:
-    """FailureClass, retryable exactly when its class is transient."""
-    return FailureClass(failure=failure, detail=detail, retryable=failure in TRANSIENT_FAILURES)
+    @property
+    def retryable(self) -> bool:
+        """True exactly when the class is transient."""
+        return self.failure in TRANSIENT_FAILURES
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from urllib.parse import quote, urlsplit
 import requests
 
 from ..errors import ConfigError, FixtureMissing
+from .models import FailureClass
 
 RETRY_MAX_ATTEMPTS = 3  # 1 initial + 2 retries
 RETRY_BASE_DELAY_S = 0.5
@@ -63,6 +64,31 @@ class RawResponse:
 def request_key(request: HttpRequest) -> str:
     """The request's canonical key, `HttpRequest.key`."""
     return request.key
+
+
+_STATUS_FAILURES = {401: "authentication", 403: "authentication",
+                    404: "not_found", 429: "rate_limit"}
+
+
+def response_failure(response: RawResponse) -> FailureClass | None:
+    """The failure a response is, or None when a 2xx body arrived to be parsed.
+
+    io_error -> transport; 401/403 -> authentication; 404 -> not_found;
+    429 -> rate_limit; 5xx -> transport. Any other status arrived but is
+    unusable, so it is payload_shape. This is the one rule: LiveTransport
+    retries exactly the failures it marks retryable, and connectors
+    classify responses with it.
+    """
+    if response.io_error is not None:
+        return FailureClass("transport", response.io_error)
+    status = response.status
+    if status is not None and 200 <= status < 300:
+        return None
+    if status in _STATUS_FAILURES:
+        return FailureClass(_STATUS_FAILURES[status], f"HTTP {status}")
+    if status is not None and status >= 500:
+        return FailureClass("transport", f"HTTP {status}")
+    return FailureClass("payload_shape", f"unexpected HTTP status {status}")
 
 
 def _fixture_path(fixtures_dir: Path, key: str) -> Path:
@@ -137,9 +163,10 @@ class Transport:
 class LiveTransport(Transport):
     """Real HTTP with bounded retries (full-jitter exponential backoff).
 
-    Only retryable failures (connection errors, 429, 5xx) are retried,
-    at most twice, starting at 500 ms. A passed-in `session` is shared by
-    every thread; otherwise each thread that fetches gets its own.
+    A response is retried, at most twice and starting at 500 ms, exactly
+    when `response_failure` marks it retryable (connection errors, 429,
+    5xx). A passed-in `session` is shared by every thread; otherwise each
+    thread that fetches gets its own.
     """
 
     def __init__(self, timeout_s: float = 15.0, session: requests.Session | None = None,
@@ -178,19 +205,13 @@ class LiveTransport(Transport):
 
     def fetch(self, request: HttpRequest) -> RawResponse:
         response = self._attempt(request)
-        attempt = 1
-        while attempt < RETRY_MAX_ATTEMPTS and _is_retryable(response):
-            delay = RETRY_BASE_DELAY_S * (2 ** (attempt - 1)) * self._rng.random()
-            self._sleep(delay)
+        for attempt in range(1, RETRY_MAX_ATTEMPTS):
+            failure = response_failure(response)
+            if failure is None or not failure.retryable:
+                break
+            self._sleep(RETRY_BASE_DELAY_S * (2 ** (attempt - 1)) * self._rng.random())
             response = self._attempt(request)
-            attempt += 1
         return response
-
-
-def _is_retryable(response: RawResponse) -> bool:
-    if response.io_error is not None:
-        return True
-    return response.status in (429,) or (response.status is not None and response.status >= 500)
 
 
 class ReplayTransport(Transport):

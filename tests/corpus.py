@@ -21,7 +21,7 @@ from citecheck.sources.connectors import (arxiv_request, crossref_request,
                                           pubmed_esearch_request,
                                           pubmed_esummary_request)
 from citecheck.sources.models import Query
-from citecheck.sources.transport import RawResponse, request_key
+from citecheck.sources.transport import HttpRequest, RawResponse, request_key
 
 import json
 
@@ -46,9 +46,10 @@ class RefSpec:
     volume: str | None = None
     pages: str | None = None
     cite_doi: bool = True  # write the DOI into the source file
-    crossref_mode: str = "match"  # match | empty | s401 | s429 | truncated | io_error
-    pubmed_mode: str = "empty"  # match | empty | s429 | io_error
-    arxiv_mode: str = "empty"  # match | empty | s429 | io_error
+    # Each source's mode: match, empty, or a FAULTS key.
+    crossref_mode: str = "match"
+    pubmed_mode: str = "empty"
+    arxiv_mode: str = "empty"
     crossref_type: str = "journal-article"
     crossref_year_offset: int = 0
     related_journal_doi: str | None = None  # asserted by the arXiv feed
@@ -468,84 +469,55 @@ def arxiv_feed(entries: list[RefSpec]) -> str:
 # Fixture seeding
 # --------------------------------------------------------------------------
 
-def _json_response(payload: dict, status: int = 200) -> RawResponse:
-    return RawResponse(status=status,
+def _json_response(payload: dict) -> RawResponse:
+    return RawResponse(status=200,
                        body=json.dumps(payload).encode("utf-8"),
                        headers=(("content-type", "application/json"),))
 
 
-def _save(store: FixtureStore, request, response: RawResponse) -> None:
-    store.save(request_key(request), response)
+# The answer each fault mode gives, at any source and to any request.
+FAULTS = {
+    "s401": RawResponse(status=401, body=b"{}"),
+    "s429": RawResponse(status=429, body=b""),
+    "truncated": RawResponse(status=200, body=b'{"message": {"items": [{'),
+    "io_error": RawResponse(status=None, body=b"", io_error=IO_ERROR_DETAIL),
+}
 
 
-def _seed_crossref(store: FixtureStore, query: Query, spec: RefSpec,
-                   config: SourceConfig, mode: str) -> None:
-    request = crossref_request(query, config)
-    if mode == "match":
+def _first_answers(source: str, query: Query, spec: RefSpec,
+                   config: SourceConfig) -> tuple[HttpRequest, RawResponse, RawResponse]:
+    """The first request `query` sends to `source`, with its match and empty answers."""
+    if source == "crossref":
+        request = crossref_request(query, config)
         if query.kind == "doi_lookup":
-            body = {"message": crossref_work(spec)}
-        else:
-            body = {"message": {"items": [crossref_work(spec)]}}
-        _save(store, request, _json_response(body))
-    elif mode == "empty":
-        if query.kind == "doi_lookup":
-            _save(store, request, RawResponse(status=404, body=b"Resource not found."))
-        else:
-            _save(store, request, _json_response({"message": {"items": []}}))
-    elif mode == "s401":
-        _save(store, request, RawResponse(status=401, body=b"{}"))
-    elif mode == "s429":
-        _save(store, request, RawResponse(status=429, body=b""))
-    elif mode == "truncated":
-        _save(store, request, RawResponse(status=200, body=b'{"message": {"items": [{'))
-    elif mode == "io_error":
-        _save(store, request, RawResponse(status=None, body=b"", io_error=IO_ERROR_DETAIL))
-    else:
-        raise ValueError(f"unknown crossref mode {mode}")
+            return (request, _json_response({"message": crossref_work(spec)}),
+                    RawResponse(status=404, body=b"Resource not found."))
+        return (request, _json_response({"message": {"items": [crossref_work(spec)]}}),
+                _json_response({"message": {"items": []}}))
+    if source == "pubmed":
+        return (pubmed_esearch_request(query, config),
+                _json_response({"esearchresult": {"idlist": [spec.pmid]}}),
+                _json_response({"esearchresult": {"idlist": []}}))
+    return (arxiv_request(query, config),
+            RawResponse(status=200, body=arxiv_feed([spec]).encode("utf-8"),
+                        headers=(("content-type", "application/atom+xml"),)),
+            RawResponse(status=200, body=arxiv_feed([]).encode("utf-8")))
 
 
-def _seed_pubmed(store: FixtureStore, query: Query, spec: RefSpec,
-                 config: SourceConfig, mode: str) -> None:
-    if query.kind != "pmid_lookup":
-        search_request = pubmed_esearch_request(query, config)
-        if mode == "match":
-            _save(store, search_request,
-                  _json_response({"esearchresult": {"idlist": [spec.pmid]}}))
-        elif mode == "empty":
-            _save(store, search_request,
-                  _json_response({"esearchresult": {"idlist": []}}))
-        elif mode == "s429":
-            _save(store, search_request, RawResponse(status=429, body=b""))
-        elif mode == "io_error":
-            _save(store, search_request,
-                  RawResponse(status=None, body=b"", io_error=IO_ERROR_DETAIL))
-        else:
-            raise ValueError(f"unknown pubmed mode {mode}")
-        if mode != "match":
-            return
-    if mode == "match" or query.kind == "pmid_lookup":
-        summary_request = pubmed_esummary_request([spec.pmid], config)
-        _save(store, summary_request, _json_response({
+def _seed(store: FixtureStore, source: str, query: Query, spec: RefSpec,
+          config: SourceConfig, mode: str) -> None:
+    """Record what `source` answers `query` in `mode`.
+
+    A PubMed lookup by PMID goes straight to esummary, which always
+    matches; any other PubMed query reaches esummary only on a match.
+    """
+    if source != "pubmed" or query.kind != "pmid_lookup":
+        request, match, empty = _first_answers(source, query, spec, config)
+        store.save(request_key(request), {"match": match, "empty": empty, **FAULTS}[mode])
+    if source == "pubmed" and (mode == "match" or query.kind == "pmid_lookup"):
+        store.save(request_key(pubmed_esummary_request([spec.pmid], config)), _json_response({
             "result": {"uids": [spec.pmid], spec.pmid: pubmed_summary_record(spec)},
         }))
-
-
-def _seed_arxiv(store: FixtureStore, query: Query, spec: RefSpec,
-                config: SourceConfig, mode: str) -> None:
-    request = arxiv_request(query, config)
-    if mode == "match":
-        body = arxiv_feed([spec]).encode("utf-8")
-        _save(store, request, RawResponse(status=200, body=body,
-                                          headers=(("content-type", "application/atom+xml"),)))
-    elif mode == "empty":
-        _save(store, request, RawResponse(status=200,
-                                          body=arxiv_feed([]).encode("utf-8")))
-    elif mode == "s429":
-        _save(store, request, RawResponse(status=429, body=b""))
-    elif mode == "io_error":
-        _save(store, request, RawResponse(status=None, body=b"", io_error=IO_ERROR_DETAIL))
-    else:
-        raise ValueError(f"unknown arxiv mode {mode}")
 
 
 def seed_fixtures_for_artifact(artifact: Path, specs: list[RefSpec],
@@ -567,15 +539,9 @@ def seed_fixtures_for_artifact(artifact: Path, specs: list[RefSpec],
         for pass_number in passes:
             for source in config.enabled_sources:
                 query = source_pass_query(entry, pass_number, source)
-                if query is None:
-                    continue
-                mode = spec.mode_for(source, pass_number)
-                if source == "crossref":
-                    _seed_crossref(store, query, spec, config, mode)
-                elif source == "pubmed":
-                    _seed_pubmed(store, query, spec, config, mode)
-                elif source == "arxiv":
-                    _seed_arxiv(store, query, spec, config, mode)
+                if query is not None:
+                    _seed(store, source, query, spec, config,
+                          spec.mode_for(source, pass_number))
 
 
 def build_corpus(base: Path) -> dict[str, Path]:

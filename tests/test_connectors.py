@@ -5,6 +5,7 @@ from __future__ import annotations
 import http.server
 import json
 import threading
+from types import SimpleNamespace
 
 import pytest
 import requests
@@ -17,12 +18,12 @@ from citecheck.extraction import extract_references
 from citecheck.matching import score_match
 from citecheck.sources import (SOURCE_CAPABILITIES, SOURCES, FixtureStore, LiveTransport,
                                Query, RecordTransport, ReplayTransport, SourceConfig,
-                               Transport, classify_failure, query_source, request_key,
+                               Transport, query_source, request_key, response_failure,
                                summarize_health)
 from citecheck.sources.connectors import (arxiv_request, crossref_request,
                                           parse_arxiv_feed, parse_crossref_body,
                                           parse_pubmed_esummary, parse_s2_body)
-from citecheck.sources.models import CandidateRecord, QueryOutcome, make_failure
+from citecheck.sources.models import CandidateRecord, FailureClass, QueryOutcome
 from citecheck.sources.transport import HttpRequest, RawResponse
 from test_matching import make_entry
 
@@ -31,8 +32,22 @@ CONFIG = corpus.CONFIG
 
 
 # ---------------------------------------------------------------------------
-# classify_failure
+# response_failure: one rule from response to failure class
 # ---------------------------------------------------------------------------
+
+class _Answer(Transport):
+    """Answers every request with the same response."""
+
+    def __init__(self, response: RawResponse):
+        self.response = response
+
+    def fetch(self, request: HttpRequest) -> RawResponse:
+        return self.response
+
+
+# Bodies a 2xx answer carries in each state; other statuses are classified unread.
+_BODY_STATES = {"ok": b"{}", "malformed": b'{"message": {', "empty": b'{"message": {"items": []}}'}
+
 
 @pytest.mark.parametrize("status,body_state,io_error,expected,retryable", [
     (401, "ok", None, "authentication", False),
@@ -47,14 +62,13 @@ CONFIG = corpus.CONFIG
     (400, "ok", None, "payload_shape", False),
 ])
 def test_classify_failure_mapping(status, body_state, io_error, expected, retryable):
-    failure = classify_failure(status, body_state, io_error)
-    assert failure.failure == expected
-    assert failure.retryable is retryable
-
-
-def test_classify_failure_requires_abnormal_signal():
-    with pytest.raises(ValueError):
-        classify_failure(200, "ok", None)
+    response = RawResponse(status=status, body=_BODY_STATES[body_state], io_error=io_error)
+    outcome = query_source("crossref", Query(kind="title_search", text="mapping probe"),
+                           _Answer(response), CONFIG)
+    assert outcome.failure.failure == expected
+    assert outcome.failure.retryable is retryable
+    # A 2xx answer is classified by parsing its body; any other by response_failure alone.
+    assert response_failure(response) == (None if status == 200 else outcome.failure)
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +164,6 @@ def test_auth_params_never_reach_the_key():
     assert request_key(plain) == request_key(with_mailto)
 
 
-class _ConstantLive:
-    """Stands in for LiveTransport: every request gets the same 200 answer."""
-
-    def fetch(self, request):
-        return RawResponse(status=200, body=b"{}")
-
-
 @pytest.mark.parametrize("mode", ["replay", "record"])
 def test_request_key_computed_once_per_fetched_request(corpus_paths, tmp_path, monkeypatch,
                                                        mode):
@@ -169,7 +176,8 @@ def test_request_key_computed_once_per_fetched_request(corpus_paths, tmp_path, m
     monkeypatch.setattr(transport_module, "urlsplit",
                         lambda url: computed.append(url) or urlsplit(url))
     inner = (_replay(corpus_paths) if mode == "replay"
-             else RecordTransport(FixtureStore(tmp_path), live=_ConstantLive()))
+             else RecordTransport(FixtureStore(tmp_path),
+                                  live=_Answer(RawResponse(status=200, body=b"{}"))))
     fetched = []
 
     class Counting(Transport):
@@ -225,6 +233,7 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 def test_record_then_replay_round_trip(tmp_path, stub_server):
@@ -255,6 +264,27 @@ def test_live_retry_on_retryable(monkeypatch):
     assert len(attempts) == 3  # initial + 2 retries
     assert len(sleeps) == 2
     assert all(0 <= s <= 2.0 for s in sleeps)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(min_value=100, max_value=599) | st.none())
+@example(429)
+@example(None)
+def test_live_retries_exactly_the_retryable_failures(status):
+    """Three attempts for a status (or, at None, an I/O error) response_failure
+    marks retryable, one for any other."""
+    attempts = []
+
+    class Session:
+        def get(self, url, **kwargs):
+            attempts.append(url)
+            if status is None:
+                raise requests.ConnectionError("refused")
+            return SimpleNamespace(status_code=status, content=b"", headers={})
+
+    transport = LiveTransport(session=Session(), sleep=lambda delay: None)
+    failure = response_failure(transport.fetch(HttpRequest(source="arxiv", url="http://x/api")))
+    assert len(attempts) == (3 if failure is not None and failure.retryable else 1)
 
 
 def test_live_session_per_thread_unless_passed_in():
@@ -374,7 +404,7 @@ def _ok(source, n=1):
 
 def _fail(source, failure):
     return QueryOutcome(source=source, query=Query(kind="title_search", text="t"),
-                        failure=make_failure(failure, "probe"))
+                        failure=FailureClass(failure, "probe"))
 
 
 def test_health_no_outcomes_lists_all_sources():

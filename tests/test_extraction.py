@@ -18,6 +18,7 @@ from citecheck.extraction import (detect_reference_section, extract_docx_text,
 from citecheck.extraction.latex import extract_bibitems, strip_comments
 from citecheck.extraction.models import RawReference, ReferenceInput, RejectedReference
 from citecheck.extraction.text import parse_freetext_fields, segment_references
+from citecheck.rewrite.render import MergedEntry, patch_text_entry
 
 
 def _raw(origin="plaintext", key=None, text="x", ordinal=1):
@@ -269,6 +270,23 @@ def test_freetext_segmentation_oracle():
     assert result.title == "A Title"
     assert result.year == 2020
     assert result.authors == (("Doe", "J."),)
+
+
+@pytest.mark.parametrize("authors,read", [
+    ((("Smith-Jones", "Mary Ann"), ("Doe", "Jane")), None),
+    ((("Smith", "Ü."),), None),
+    ((("Doe", "J."), ("Smith", "Alan"), ("Lee", "K.")), None),
+    # A lone "Doe, Jane" is also two one-word names; nothing tells them apart.
+    ((("Doe", "Jane"),), (("Doe", ""), ("Jane", ""))),
+])
+def test_text_patch_authors_read_back(tmp_path, authors, read):
+    """The author list a text patch writes is the one extraction reads."""
+    merged = MergedEntry(key="k", kind="journal", title="A Title", authors=authors,
+                         year=2020, venue="Nature", doi=None, pmid=None, arxiv_id=None,
+                         volume=None, pages=None, extra_fields=(), verified=True)
+    path = tmp_path / "refs.txt"
+    path.write_text(f"References\n[1] {patch_text_entry(merged)}\n", encoding="utf-8")
+    assert extract_references(path).entries[0].authors == (read or authors)
 
 
 def test_doi_prefix_stripping_and_lowercase():

@@ -9,7 +9,7 @@ import pytest
 from citecheck.extraction.models import LintFinding, RawReference, ReferenceInput
 from citecheck.matching import EntryVerdict, Issue
 from citecheck.policy import (BatchSummary, PRESETS, evaluate_policy, summarize_batch)
-from citecheck.sources import Query, QueryOutcome, make_failure
+from citecheck.sources import FailureClass, Query, QueryOutcome
 from citecheck.sources.models import CandidateRecord
 
 
@@ -24,7 +24,7 @@ def _verdict(status, ordinal=1, issues=(), failures=()) -> EntryVerdict:
                                  title=f"T{ordinal}")
     outcomes = tuple(
         QueryOutcome(source="crossref", query=Query(kind="title_search", text="t"),
-                     failure=make_failure(f, "probe"))
+                     failure=FailureClass(f, "probe"))
         for f in failures)
     return EntryVerdict(entry=entry, status=status,
                         confidence=0.95 if status == "verified" else 0.3,

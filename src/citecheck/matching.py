@@ -41,6 +41,7 @@ TITLE_MISMATCH_THRESHOLD = 0.6
 AUTHOR_MISMATCH_THRESHOLD = 0.5
 VENUE_MISMATCH_THRESHOLD = 0.3
 RELAXED_QUERY_WORDS = 6
+ARXIV_DOI_PREFIX = "10.48550/"  # arXiv's DataCite DOIs
 DEFAULT_WORKERS = 4
 MAX_WORKERS = 16
 
@@ -263,9 +264,14 @@ def source_pass_query(entry: ReferenceInput, pass_number: int, source: str,
     Pass 1 is the most direct: a lookup of the first identifier, in
     `identifier_map` order (doi, then pmid, then arXiv), that the source
     supports, else a full-title search, so an arXiv-cited entry still
-    reaches Crossref by title. Pass 2 narrows by first-author family name
-    and year; pass 3 relaxes to the leading content words, and a title with
-    none gets no pass-3 query. A title-less entry repeats its pass-1 query.
+    reaches Crossref by title. The one exception: arXiv gets no pass-1
+    title search for an entry that cites a DOI, which Crossref and PubMed
+    look up, unless the DOI is arXiv's own (`10.48550/`), which only arXiv
+    answers. The exception stays that narrow: the other sources' title
+    searches find the published version of an arXiv-cited preprint. Pass 2
+    narrows by first-author family name and year; pass 3 relaxes to the
+    leading content words, and a title with none gets no pass-3 query. A
+    title-less entry repeats its pass-1 query.
     """
     if pass_number not in (1, 2, 3):
         raise ValueError(f"pass must be 1..3, got {pass_number}")
@@ -274,6 +280,8 @@ def source_pass_query(entry: ReferenceInput, pass_number: int, source: str,
         for kind, value in entry.identifier_map().items():
             if supports(source, f"{kind}_lookup"):
                 return Query(kind=f"{kind}_lookup", text=value, limit=limit)
+        if source == "arxiv" and entry.doi and not entry.doi.startswith(ARXIV_DOI_PREFIX):
+            return None
         query = Query(kind="title_search", text=title, limit=limit) if title else None
     elif pass_number == 2 and entry.authors:
         query = Query(kind="title_author_search", text=f"{title} {entry.authors[0][0]}",

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from citecheck.extraction import extract_references
+from citecheck.extraction.models import ReferenceInput
 from citecheck.matching import source_pass_query
 from citecheck.sources import FixtureStore, SourceConfig, config_from_env
 from citecheck.sources.connectors import (arxiv_request, crossref_request,
                                           pubmed_esearch_request,
                                           pubmed_esummary_request)
-from citecheck.sources.models import Query
+from citecheck.sources.models import DEFAULT_QUERY_LIMIT, Query
 from citecheck.sources.transport import HttpRequest, RawResponse, request_key
 
 import json
@@ -46,6 +47,7 @@ class RefSpec:
     volume: str | None = None
     pages: str | None = None
     cite_doi: bool = True  # write the DOI into the source file
+    cite_arxiv: bool = True  # write the arXiv id into the source file
     # Each source's mode: match, empty, or a FAULTS key.
     crossref_mode: str = "match"
     pubmed_mode: str = "empty"
@@ -190,6 +192,16 @@ MANIFESTATION = RefSpec(
     related_journal_doi="10.5600/nature.2022.777",
 )
 
+# The converse: cites the journal DOI of a work that also has an arXiv
+# preprint, which links back to it. Pass 1 sends arXiv no title search for
+# it, so only `title_searching_pass_query` finds the preprint.
+PUBLISHED_WITH_PREPRINT = RefSpec(
+    "x2", "Equivariant message passing for crystal structure prediction",
+    (("Moreau", "C."), ("Tanaka", "H.")), 2022, arxiv="2203.04567", cite_arxiv=False,
+    doi="10.5600/natmeth.2023.888", venue="Nature Methods", crossref_year_offset=1,
+    arxiv_mode="match", related_journal_doi="10.5600/natmeth.2023.888",
+)
+
 DUPLICATES = [
     RefSpec("u1", "Data lineage tracking in distributed stream processors",
             (("Smith", "Rob"),), 2020, venue="IEEE Transactions on Big Data",
@@ -264,7 +276,7 @@ def bibtex_entry_text(spec: RefSpec) -> str:
         fields.append(("pages", spec.pages))
     if spec.doi and spec.cite_doi:
         fields.append(("doi", spec.doi))
-    if spec.arxiv:
+    if spec.arxiv and spec.cite_arxiv:
         fields.append(("eprint", spec.arxiv))
         fields.append(("archiveprefix", "arXiv"))
     if spec.pmid and not (spec.doi and spec.cite_doi) and not spec.arxiv:
@@ -290,7 +302,7 @@ def freetext_line(spec: RefSpec, number: int, marker: str = "[{n}]") -> str:
         parts.append(f"{spec.venue}.")
     if spec.doi and spec.cite_doi:
         parts.append(f"https://doi.org/{spec.doi}")
-    if spec.arxiv:
+    if spec.arxiv and spec.cite_arxiv:
         parts.append(f"arXiv:{spec.arxiv}.")
     return " ".join(parts)
 
@@ -520,11 +532,23 @@ def _seed(store: FixtureStore, source: str, query: Query, spec: RefSpec,
         }))
 
 
+def title_searching_pass_query(entry: ReferenceInput, pass_number: int, source: str,
+                               limit: int = DEFAULT_QUERY_LIMIT) -> Query | None:
+    """The planner as it was before arXiv's pass-1 exception, kept as a
+    reference: arXiv also got a pass-1 title search for a DOI-cited entry."""
+    query = source_pass_query(entry, pass_number, source, limit)
+    if query is None and pass_number == 1 and source == "arxiv" and entry.title:
+        return Query(kind="title_search", text=entry.title, limit=limit)
+    return query
+
+
 def seed_fixtures_for_artifact(artifact: Path, specs: list[RefSpec],
                                store: FixtureStore,
                                config: SourceConfig = CONFIG,
-                               passes: tuple[int, ...] = (1,)) -> None:
-    """Extract the artifact and record responses for the queries it will run.
+                               passes: tuple[int, ...] = (1,),
+                               plan=source_pass_query) -> None:
+    """Extract the artifact and record responses for the queries `plan`
+    (the package's planner by default) sends in `passes`.
 
     Entries pair with specs by document order; the extracted (normalized)
     entry drives query construction so fixture keys always match the
@@ -538,7 +562,7 @@ def seed_fixtures_for_artifact(artifact: Path, specs: list[RefSpec],
     for entry, spec in zip(entries, specs):
         for pass_number in passes:
             for source in config.enabled_sources:
-                query = source_pass_query(entry, pass_number, source)
+                query = plan(entry, pass_number, source)
                 if query is not None:
                     _seed(store, source, query, spec, config,
                           spec.mode_for(source, pass_number))

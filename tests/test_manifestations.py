@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import corpus
+from citecheck import matching
 from citecheck.extraction import extract_references
 from citecheck.manifestations import (PREFERENCE_RANK, group_manifestations,
                                       resolve_preference)
@@ -128,3 +129,29 @@ def test_end_to_end_manifestation_conflict(corpus_paths):
     assert verdict.chosen is not None
     assert verdict.chosen.manifestation_kind == "journal"
     assert verdict.chosen.doi == corpus.MANIFESTATION.related_journal_doi
+
+
+def test_doi_cited_journal_with_preprint_keeps_its_verdict(tmp_path, monkeypatch):
+    """A cited journal DOI whose work has an arXiv preprint: pass 1 no longer
+    finds the preprint by title at arXiv, and the verdict (status, chosen
+    record, issues) is the one the title-searching planner gives."""
+    spec = corpus.PUBLISHED_WITH_PREPRINT
+    bib = tmp_path / "published.bib"
+    corpus.write_bib(bib, [spec])
+    store = FixtureStore(tmp_path / "fixtures")
+    corpus.seed_fixtures_for_artifact(bib, [spec], store,
+                                      plan=corpus.title_searching_pass_query)
+    entry = extract_references(bib).entries[0]
+    assert (entry.doi, entry.arxiv_id) == (spec.doi, None)
+
+    verdict = verify_entry(entry, ReplayTransport(store), corpus.CONFIG)
+    monkeypatch.setattr(matching, "source_pass_query", corpus.title_searching_pass_query)
+    before = verify_entry(entry, ReplayTransport(store), corpus.CONFIG)
+
+    found = {(r.source, r.manifestation_kind) for o in before.outcomes for r in o.records or ()}
+    assert found == {("crossref", "journal"), ("arxiv", "preprint")}
+    assert {o.source for o in verdict.outcomes} == {"pubmed", "crossref"}
+    assert (verdict.status, verdict.chosen, verdict.issues) == (
+        before.status, before.chosen, before.issues)
+    assert (verdict.status, verdict.issues) == ("verified", ())
+    assert (verdict.chosen.source, verdict.chosen.doi) == ("crossref", spec.doi)

@@ -24,7 +24,8 @@ from citecheck.matching import (STOP_WORDS, cluster_join,
 from citecheck.sources import (CandidateRecord, FixtureStore, ReplayTransport, Transport,
                                query_source, request_key, summarize_health, supports)
 from citecheck.sources.config import SourceConfig
-from citecheck.sources.models import SOURCES
+from citecheck.sources.connectors import arxiv_request
+from citecheck.sources.models import SOURCES, Query
 from citecheck.sources.transport import RawResponse
 
 CONFIG = corpus.CONFIG
@@ -178,7 +179,7 @@ def test_relaxed_text_strips_diacritics():
 def test_source_pass_query_adapts_to_capability():
     entry = make_entry(doi="10.1/x")
     assert source_pass_query(entry, 1, "crossref").kind == "doi_lookup"
-    assert source_pass_query(entry, 1, "arxiv").kind == "title_search"
+    assert source_pass_query(entry, 1, "arxiv") is None
     arxiv_entry = make_entry(doi=None, arxiv="2101.00001")
     assert source_pass_query(arxiv_entry, 1, "arxiv").kind == "arxiv_lookup"
     assert source_pass_query(arxiv_entry, 1, "pubmed").kind == "title_search"
@@ -194,15 +195,18 @@ def _entry_with(ids, title="A study of things", authors=(("Doe", "Jane"),)):
 
 def test_pass1_looks_up_the_first_identifier_the_source_supports():
     """doi, then pmid, then arXiv, for every identifier subset and source; a
-    title search when the source can look up none of them, and a title-less
-    entry repeats its pass-1 lookup (or sends nothing) in every pass."""
+    title search when the source can look up none of them (none at arXiv for
+    a DOI-cited entry), and a title-less entry repeats its pass-1 lookup (or
+    sends nothing) in every pass."""
     for ids, source in itertools.product(_ID_SUBSETS, SOURCES):
         entry = _entry_with(ids)
         assert list(entry.identifier_map()) == [k for k in ("doi", "pmid", "arxiv") if k in ids]
         first = next((k for k in ("doi", "pmid", "arxiv")
                       if k in ids and supports(source, f"{k}_lookup")), None)
         query = source_pass_query(entry, 1, source)
-        if first is None:
+        if first is None and source == "arxiv" and "doi" in ids:
+            assert query is None
+        elif first is None:
             assert (query.kind, query.text) == ("title_search", entry.title)
         else:
             assert (query.kind, query.text) == (f"{first}_lookup", _IDS[first])
@@ -210,6 +214,17 @@ def test_pass1_looks_up_the_first_identifier_the_source_supports():
             untitled = _entry_with(ids, title=None)
             lookup = query if first is not None else None
             assert [source_pass_query(untitled, n, source) for n in (1, 2, 3)] == [lookup] * 3
+
+
+def test_arxiv_datacite_doi_keeps_its_pass1_title_search():
+    """Only arXiv answers for its own DataCite DOIs (10.48550/), so it still
+    gets a pass-1 title search for an entry that cites one."""
+    entry = make_entry(doi="10.48550/arxiv.2101.00001")
+    lookup = ("doi_lookup", "10.48550/arxiv.2101.00001")
+    assert {source: (query.kind, query.text) for source in SOURCES
+            for query in [source_pass_query(entry, 1, source)]} == {
+        "pubmed": lookup, "crossref": lookup, "semantic_scholar": lookup,
+        "arxiv": ("title_search", "A study of things")}
 
 
 _TITLES = st.one_of(
@@ -695,3 +710,65 @@ def test_each_pair_scored_once_per_batch(corpus_paths, monkeypatch):
 
     assert any(v.passes_used == 3 for v in verdicts)
     assert seen and max(seen.values()) == 1
+
+
+# ---------------------------------------------------------------------------
+# Pass 1 asks arXiv no title search for a DOI-cited entry
+# ---------------------------------------------------------------------------
+
+def _outside_evidence(verdict):
+    return (verdict.status, verdict.confidence, verdict.issues, verdict.chosen,
+            verdict.passes_used)
+
+
+def test_doi_cited_bibliography_sends_arxiv_no_pass1_title_search(tmp_path, monkeypatch):
+    """Against the planner that also searched arXiv by title for a DOI-cited
+    entry: those searches are the only requests no longer sent, arXiv's
+    `attempted` falls by exactly their count, and every verdict is the same
+    outside its evidence."""
+    bib = tmp_path / "references.bib"
+    corpus.write_bib(bib, corpus.MAIN_BIB)
+    store = FixtureStore(tmp_path / "fixtures")
+    corpus.seed_fixtures_for_artifact(bib, corpus.MAIN_BIB, store,
+                                      plan=corpus.title_searching_pass_query)
+    entries = extract_references(bib).entries
+    skipped = {request_key(arxiv_request(Query(kind="title_search", text=e.title), CONFIG))
+               for e in entries if e.doi and not e.arxiv_id}
+    assert len(skipped) == 8
+
+    def run(plan):
+        monkeypatch.setattr(matching, "source_pass_query", plan)
+        spy = _ShuffledTransport(ReplayTransport(store))
+        verdicts = verify_entries(entries, spy, CONFIG)
+        health = summarize_health([o for v in verdicts for o in v.outcomes], CONFIG)
+        return spy.fetched, next(h.attempted for h in health if h.source == "arxiv"), verdicts
+
+    sent_before, arxiv_before, verdicts_before = run(corpus.title_searching_pass_query)
+    sent, arxiv_attempted, verdicts = run(source_pass_query)
+    assert sent_before - sent == Counter(dict.fromkeys(skipped, 1))
+    assert not sent - sent_before
+    assert arxiv_before - arxiv_attempted == len(skipped)
+    assert list(map(_outside_evidence, verdicts)) == list(map(_outside_evidence,
+                                                               verdicts_before))
+
+
+def test_entry_whose_doi_no_source_resolves_reaches_arxiv_in_pass_two(tmp_path):
+    """Pass 1 asks arXiv nothing for a DOI-cited entry; when no source
+    resolves the DOI, pass 2 asks arXiv, which finds the work."""
+    spec = corpus.RefSpec(
+        "z1", "Tidal stream forecasting with physics informed neural operators",
+        (("Haddad", "N."),), 2021, venue="Renewable Energy", doi="10.5999/re.2021.404",
+        arxiv="2107.01234", cite_arxiv=False, crossref_mode="empty",
+        modes_by_pass=((("arxiv", 2), "match"),))
+    bib = tmp_path / "refs.bib"
+    corpus.write_bib(bib, [spec])
+    store = FixtureStore(tmp_path / "fixtures")
+    corpus.seed_fixtures_for_artifact(bib, [spec], store, passes=(1, 2, 3))
+    verdict = verify_entry(extract_references(bib).entries[0], ReplayTransport(store), CONFIG)
+    assert [(n, digest["source"], query.kind) for n, query, digest in verdict.evidence] == [
+        (1, "pubmed", "doi_lookup"), (1, "crossref", "doi_lookup"),
+        (2, "pubmed", "title_author_search"), (2, "crossref", "title_author_search"),
+        (2, "arxiv", "title_author_search")]
+    assert verdict.passes_used == 2
+    assert verdict.chosen.source == "arxiv"
+    assert verdict.chosen.arxiv_id == spec.arxiv

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import difflib
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -15,15 +16,18 @@ import corpus
 from citecheck.errors import BlockedByPolicy, StaleFile, UnsupportedFormat, WriteDenied
 from citecheck.extraction import extract_references, parse_bibtex
 from citecheck.extraction.latex import extract_bibitems
-from citecheck.matching import verify_entries
+from citecheck import textnorm
+from citecheck.matching import (TITLE_MISMATCH_THRESHOLD, source_pass_query,
+                                title_similarity, verify_entries)
 from citecheck.pipeline import run_repair
-from citecheck.policy import PRESETS, evaluate_policy, summarize_batch
+from citecheck.policy import PRESETS, PolicyPreset, evaluate_policy, summarize_batch
 from citecheck.rewrite import (analyze_key_mapping, apply_rewrite, assign_citation_keys,
                                generate_citation_key, plan_rewrite, render_bibliography,
                                sidecar_path)
 from citecheck.rewrite.engine import _apply_patches, _unified_diff, file_digest
 from citecheck.rewrite.models import KeyMapping, Patch, RewritePlan
-from citecheck.sources import FixtureStore, ReplayTransport
+from citecheck.sources import FixtureStore, ReplayTransport, Transport, request_key
+from citecheck.sources.transport import RawResponse
 from test_matching import make_candidate, make_entry
 
 CONFIG = corpus.CONFIG
@@ -722,3 +726,144 @@ def test_preview_diff_keeps_final_closing_brace_as_context():
     assert _unified_diff("refs.bib", original, [patch], "utf-8") == (
         "--- refs.bib\n+++ refs.bib (rewritten)\n@@ -296,5 +296,5 @@\n"
         " @article{k59,\n   title = {T59},\n   year = {2019},\n-  doi = {10,5/59}\n+  doi = {10.5/59}\n }\n")
+
+
+# ---------------------------------------------------------------------------
+# Chimeric citations: no patch turns one work's title into another's
+# ---------------------------------------------------------------------------
+
+# Every work of the test corpus that Crossref knows by its DOI, once per title.
+CATALOG = list({textnorm.match_key(spec.title): spec for spec in corpus.ALL_SPECS
+                + [corpus.PUBLISHED_WITH_PREPRINT]
+                if spec.doi and spec.crossref_mode == "match" and not spec.modes_by_pass
+                and not spec.result_title}.values())
+CATALOG_TITLES = {textnorm.match_key(spec.title) for spec in CATALOG}
+
+# Replacement patches for every eligible entry, needs_review included.
+OPEN_PRESET = PolicyPreset("open", max_unresolved_ratio=1.0, max_not_checked_ratio=1.0,
+                           min_verified_ratio=0.0, fail_on_auth_failure=False,
+                           allow_replacement_with_needs_review=True)
+
+
+def _catalog_work(kind: str, text: str):
+    """The work a catalog source answers with: the DOI's owner for a lookup;
+    for a search, the work most of whose title words the query holds."""
+    if kind == "doi_lookup":
+        return next((spec for spec in CATALOG if spec.doi == text), None)
+    if kind.endswith("_lookup"):
+        return None
+    words = set(textnorm.content_words(text))
+
+    def share(spec):
+        title = textnorm.content_words(spec.title)
+        return sum(w in words for w in title) / len(title)
+
+    best = max(CATALOG, key=share)
+    return best if share(best) >= 0.5 else None
+
+
+# The identifier a source needs to know a work; Crossref knows every one.
+_KNOWN_BY = {"crossref": "doi", "pubmed": "pmid", "arxiv": "arxiv"}
+
+
+class _CatalogTransport(Transport):
+    """Crossref, PubMed and arXiv answering from CATALOG: every query the
+    planner sends for `entries` in any pass is recorded up front."""
+
+    waits = False
+
+    def __init__(self, entries):
+        self.answers: dict[str, RawResponse] = {}
+        for entry in entries:
+            for pass_number in (1, 2, 3):
+                for source in CONFIG.enabled_sources:
+                    query = source_pass_query(entry, pass_number, source)
+                    if query is None:
+                        continue
+                    work = _catalog_work(query.kind, query.text)
+                    known = work is not None and getattr(work, _KNOWN_BY[source])
+                    corpus._seed(self, source, query, work or CATALOG[0], CONFIG,
+                                 "match" if known else "empty")
+
+    def save(self, key: str, response: RawResponse) -> None:
+        self.answers[key] = response
+
+    def fetch(self, request):
+        return self.answers.get(request_key(request), RawResponse(status=404, body=b""))
+
+
+def _splice(a: str, b: str) -> str:
+    """The first half of title `a`'s words, then the second half of `b`'s."""
+    wa, wb = a.split(), b.split()
+    return " ".join(wa[:len(wa) // 2] + wb[len(wb) // 2:])
+
+
+@st.composite
+def _chimeras(draw):
+    """A citation put together from up to four catalog works: the title (or
+    a splice of two titles), the DOI (or none), the authors, and the year
+    and venue, each from any of them."""
+    works = st.sampled_from(CATALOG)
+    title_work, other, author_work, year_work = (draw(works) for _ in range(4))
+    doi_work = draw(st.none() | works)
+    title = draw(st.sampled_from((title_work.title, _splice(title_work.title, other.title))))
+    return corpus.RefSpec("c", title, author_work.authors, year_work.journal_year,
+                          venue=year_work.venue, doi=doi_work.doi if doi_work else None)
+
+
+def _replacement_run(specs):
+    """The entries of a bibliography of `specs` before and after a
+    replacement run against CATALOG that patches every eligible entry."""
+    specs = [dataclasses.replace(spec, key=f"chimera{i}") for i, spec in enumerate(specs)]
+    with tempfile.TemporaryDirectory() as tmp:
+        bib = Path(tmp) / "refs.bib"
+        corpus.write_bib(bib, specs)
+        extraction = extract_references(bib)
+        verdicts = verify_entries(extraction.entries, _CatalogTransport(extraction.entries),
+                                  CONFIG)
+        decision = evaluate_policy(summarize_batch(verdicts, extraction.lint), OPEN_PRESET)
+        plan = plan_rewrite(bib, extraction, verdicts, "replacement", decision,
+                            workspace_root=tmp)
+        assert not plan.blocked
+        bib.write_bytes(_apply_patches(bib.read_bytes(), list(plan.patches), "utf-8"))
+        return extraction.entries, extract_references(bib).entries
+
+
+def test_chimera_with_a_real_title_and_doi_gets_its_authors_patched():
+    """Title and DOI of one work, authors of another: the identifier lifts
+    the match, and replacement rewrites the authors but not the title."""
+    work, other = corpus.MAIN_BIB[0], corpus.MAIN_BIB[1]
+    [before], [after] = _replacement_run([dataclasses.replace(work, authors=other.authors)])
+    assert [f for f, _ in before.authors] == [f for f, _ in other.authors]
+    assert [f for f, _ in after.authors] == [f for f, _ in work.authors]
+    assert after.title == before.title == work.title
+
+
+@settings(max_examples=150, deadline=None)
+@given(chimeras=st.lists(_chimeras(), min_size=1, max_size=4))
+def test_no_replacement_sets_a_title_to_another_works_title(chimeras):
+    """However a citation splices one work's title with others' DOI,
+    authors, year and venue, replacement gives it another catalog work's
+    title only by the identifier lift: the cited DOI's own title, when the
+    cited title is plausible for it (title similarity >= 0.6)."""
+    before, after = _replacement_run(chimeras)
+    for old, new in zip(before, after, strict=True):
+        key = textnorm.match_key(new.title)
+        if key == textnorm.match_key(old.title) or key not in CATALOG_TITLES:
+            continue
+        doi_work = next((spec for spec in CATALOG if spec.doi == old.doi), None)
+        assert doi_work is not None, (old.title, new.title)
+        assert key == textnorm.match_key(doi_work.title), (old.title, new.title)
+        assert title_similarity(old.title, doi_work.title) >= TITLE_MISMATCH_THRESHOLD
+
+
+@pytest.mark.xfail(strict=True, reason="the identifier lift retitles a near-twin: a cited "
+                   "title at similarity >= 0.6 to the DOI's record becomes that record's")
+def test_near_twin_title_with_the_twins_doi_keeps_its_title():
+    """Two works of a numbered series differ by one title word (similarity
+    7/9). A citation of the first one's title with the second one's DOI
+    should go to review, not be retitled as the second work."""
+    first, second = corpus.MIXED[0], corpus.MIXED[1]
+    assert title_similarity(first.title, second.title) >= TITLE_MISMATCH_THRESHOLD
+    [before], [after] = _replacement_run([dataclasses.replace(first, doi=second.doi)])
+    assert after.title == before.title == first.title

@@ -7,17 +7,18 @@ identifier) a lower-preference manifestation while a higher one exists,
 the resolver emits a manifestation_conflict issue and the verdict stays
 review-only.
 
-Preference switching requires identifier-level linkage (shared or
-cross-asserted ids). Members that joined the cluster on title similarity
+Preference switching requires identifier-level linkage (`matching.linked`:
+a shared or cross-asserted id). Members that joined the cluster on title similarity
 alone are left outside the work set: they can corroborate, not replace.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .extraction.models import ReferenceInput
-from .matching import Issue, MatchCluster, MatchScore, _member_key
+from .matching import Issue, MatchCluster, MatchScore, components, linked
 from .sources import CandidateRecord
 
 # Fixed, not configurable. Book chapters and reports have no slot in the
@@ -35,23 +36,6 @@ class ManifestationSet:
     cited_member: CandidateRecord | None = None
 
 
-def _linked_component(cluster: MatchCluster, anchor: CandidateRecord) -> list[CandidateRecord]:
-    """Members reachable from `anchor` through shared/asserted identifiers."""
-    members = list(cluster.members)
-    component = {_member_key(anchor)}
-    frontier = [anchor]
-    while frontier:
-        current = frontier.pop()
-        for other in members:
-            key = _member_key(other)
-            if key in component:
-                continue
-            if current.all_identifiers() & other.all_identifiers():
-                component.add(key)
-                frontier.append(other)
-    return [m for m in members if _member_key(m) in component]
-
-
 def _cited_member(entry: ReferenceInput,
                   members: list[CandidateRecord]) -> CandidateRecord | None:
     """The member whose direct identifiers match what the entry cites."""
@@ -63,10 +47,10 @@ def _cited_member(entry: ReferenceInput,
 
 
 def _pick_preferred(members: list[CandidateRecord],
-                    scores: dict[str, MatchScore]) -> CandidateRecord:
+                    scores: Mapping[str, MatchScore]) -> CandidateRecord:
     def sort_key(record: CandidateRecord):
         return (-PREFERENCE_RANK[record.manifestation_kind],
-                -scores[_member_key(record)].confidence,
+                -scores[record.key].confidence,
                 _SOURCE_TIE_ORDER.get(record.source, 99),
                 record.source_id)
     return sorted(members, key=sort_key)[0]
@@ -76,13 +60,13 @@ def group_manifestations(cluster: MatchCluster, entry: ReferenceInput) -> Manife
     """Identifier-linked manifestation set around the cluster's best member."""
     if not cluster.members:
         raise ValueError("cluster must be non-empty")
-    work_members = _linked_component(cluster, cluster.best_member)
-    scores = dict(cluster.member_scores)  # clustering scores every member
-    preferred = _pick_preferred(work_members, scores)
+    work_members = next(component for component in components(cluster.members, linked)
+                        if cluster.best_member in component)
+    preferred = _pick_preferred(work_members, cluster.member_scores)
     cited = _cited_member(entry, work_members)
     conflict = (
         cited is not None
-        and _member_key(cited) != _member_key(preferred)
+        and cited.key != preferred.key
         and PREFERENCE_RANK[preferred.manifestation_kind]
         > PREFERENCE_RANK[cited.manifestation_kind]
     )
@@ -103,8 +87,8 @@ def resolve_preference(mset: ManifestationSet) -> tuple[CandidateRecord, Issue |
         issue = Issue(
             code="manifestation_conflict",
             detail=(f"entry cites the {mset.cited_member.manifestation_kind} "
-                    f"({mset.cited_member.source}:{mset.cited_member.source_id}) but a "
+                    f"({mset.cited_member.key}) but a "
                     f"{mset.preferred.manifestation_kind} manifestation exists "
-                    f"({mset.preferred.source}:{mset.preferred.source_id})"),
+                    f"({mset.preferred.key})"),
         )
     return mset.preferred, issue

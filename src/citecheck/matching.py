@@ -21,8 +21,9 @@ scored once.
 
 from __future__ import annotations
 
+import itertools
 import re
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -32,7 +33,6 @@ from .extraction.models import ReferenceInput
 from .sources import (CandidateRecord, Query, QueryOutcome, SourceConfig, Transport,
                       query_source, sort_candidates, supports)
 from .sources.models import DEFAULT_QUERY_LIMIT, SOURCES
-from .textnorm import STOP_WORDS  # noqa: F401  (re-exported)
 
 VERIFIED_THRESHOLD = 0.9
 WEAK_THRESHOLD = 0.6
@@ -90,9 +90,12 @@ class MatchScore:
 class MatchCluster:
     members: tuple[CandidateRecord, ...]  # sorted by (source, source_id)
     cluster_key: str
-    best_score: MatchScore
     best_member: CandidateRecord
-    member_scores: tuple[tuple[str, MatchScore], ...]  # keyed by source:source_id
+    member_scores: Mapping[str, MatchScore]  # by CandidateRecord.key
+
+    @property
+    def best_score(self) -> MatchScore:
+        return self.member_scores[self.best_member.key]
 
 
 @dataclass(frozen=True)
@@ -112,13 +115,21 @@ class EntryVerdict:
     confidence: float
     issues: tuple[Issue, ...]
     chosen: CandidateRecord | None
-    evidence: tuple[tuple[int, Query, dict], ...]  # (pass, query, outcome digest)
+    steps: tuple[tuple[int, QueryOutcome], ...]  # (pass, outcome) in pass/source order
     passes_used: int
-    outcomes: tuple[QueryOutcome, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         if self.status not in STATUSES:
             raise ValueError(f"unknown status: {self.status}")
+
+    @property
+    def outcomes(self) -> tuple[QueryOutcome, ...]:
+        return tuple(outcome for _, outcome in self.steps)
+
+    @property
+    def evidence(self) -> tuple[tuple[int, Query, dict], ...]:
+        """(pass, query, outcome digest) per step, as the report holds them."""
+        return tuple((p, outcome.query, outcome.digest()) for p, outcome in self.steps)
 
 
 # --------------------------------------------------------------------------
@@ -299,30 +310,39 @@ def source_pass_query(entry: ReferenceInput, pass_number: int, source: str,
 # Clustering
 # --------------------------------------------------------------------------
 
-def _dedupe(candidates: list[CandidateRecord]) -> list[CandidateRecord]:
-    seen: set[tuple[str, str]] = set()
-    out = []
-    for record in candidates:
-        key = (record.source, record.source_id)
-        if key not in seen:
-            seen.add(key)
-            out.append(record)
-    return out
+def linked(a: CandidateRecord, b: CandidateRecord) -> bool:
+    """Identifier linkage: a shared direct or asserted identifier."""
+    return bool(a.all_identifiers() & b.all_identifiers())
 
 
 def cluster_join(a: CandidateRecord, b: CandidateRecord, keys: TextKeys | None = None) -> bool:
-    """Pairwise join predicate: shared identifier (direct or asserted), or
-    near-identical titles with compatible years."""
-    if a.all_identifiers() & b.all_identifiers():
-        return True
-    if title_similarity(a.title, b.title, keys) >= CLUSTER_TITLE_THRESHOLD:
-        if a.year is None or b.year is None or abs(a.year - b.year) <= 1:
-            return True
-    return False
+    """Pairwise join predicate: `linked`, or near-identical titles with
+    compatible years."""
+    return linked(a, b) or (
+        title_similarity(a.title, b.title, keys) >= CLUSTER_TITLE_THRESHOLD
+        and (a.year is None or b.year is None or abs(a.year - b.year) <= 1))
 
 
-def _member_key(record: CandidateRecord) -> str:
-    return f"{record.source}:{record.source_id}"
+def components(records: Sequence[CandidateRecord],
+               joined: Callable[[CandidateRecord, CandidateRecord], bool],
+               ) -> list[list[CandidateRecord]]:
+    """The connected components of `records` under the pairwise predicate
+    `joined`, each in input order, ordered by their first record."""
+    parent = list(range(len(records)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(records)), 2):
+        if joined(records[i], records[j]):
+            parent[find(i)] = find(j)
+    groups: dict[int, list[CandidateRecord]] = {}
+    for i, record in enumerate(records):
+        groups.setdefault(find(i), []).append(record)
+    return list(groups.values())
 
 
 def _cluster_key(members: list[CandidateRecord]) -> str:
@@ -337,49 +357,28 @@ def dedupe_and_cluster(candidates: list[CandidateRecord], entry: ReferenceInput,
                        scores: dict[str, MatchScore] | None = None) -> list[MatchCluster]:
     """Partition candidates into work clusters, best match first.
 
-    Exact duplicates (same source and source_id) collapse before the
-    transitive closure of `cluster_join` groups the rest. Every candidate
+    Exact duplicates (same `CandidateRecord.key`) collapse to the first
+    before the components of `cluster_join` group the rest. Every candidate
     lands in exactly one cluster. `scores` holds scores already computed
-    for the first record of each "source:source_id"; the rest are scored here.
+    for the first record of each key; the rest are scored here.
     """
     scores, keys = scores or {}, TextKeys()
-    unique = sort_candidates(_dedupe(candidates))
-    n = len(unique)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if cluster_join(unique[i], unique[j], keys):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-
-    groups: dict[int, list[CandidateRecord]] = {}
-    for i, record in enumerate(unique):
-        groups.setdefault(find(i), []).append(record)
-
+    first: dict[str, CandidateRecord] = {}
+    for record in candidates:
+        first.setdefault(record.key, record)
     clusters = []
-    for members in groups.values():
-        members = sorted(members, key=lambda r: (r.source, r.source_id))
-        scored = [(m, scores.get(_member_key(m)) or score_match(entry, m, keys))
-                  for m in members]
-        # Highest confidence wins; exact ties resolve to the smallest
-        # (source, source_id) key so clustering stays deterministic.
-        top = max(s.confidence for _, s in scored)
-        tied = [(m, s) for m, s in scored if s.confidence == top]
-        best_member, best_score = min(tied, key=lambda pair: _member_key(pair[0]))
+    for members in components(sort_candidates(list(first.values())),
+                              lambda a, b: cluster_join(a, b, keys)):
+        member_scores = {m.key: scores.get(m.key) or score_match(entry, m, keys)
+                         for m in members}
+        # Highest confidence wins; max keeps the first of exact ties, which in
+        # (source, source_id) order is the smallest key, so clustering stays
+        # deterministic.
         clusters.append(MatchCluster(
             members=tuple(members),
             cluster_key=_cluster_key(members),
-            best_score=best_score,
-            best_member=best_member,
-            member_scores=tuple((_member_key(m), s) for m, s in scored),
+            best_member=max(members, key=lambda m: member_scores[m.key].confidence),
+            member_scores=member_scores,
         ))
     clusters.sort(key=lambda c: (-c.best_score.confidence, c.cluster_key))
     return clusters
@@ -390,33 +389,31 @@ def dedupe_and_cluster(candidates: list[CandidateRecord], entry: ReferenceInput,
 # --------------------------------------------------------------------------
 
 def derive_issues(entry: ReferenceInput, best_cluster: MatchCluster | None,
-                  chosen: CandidateRecord | None = None,
-                  chosen_score: MatchScore | None = None) -> list[Issue]:
+                  chosen: CandidateRecord | None = None) -> list[Issue]:
     """Classify discrepancies between the entry and its best cluster.
 
     At most one issue per code; codes are the only classification channel.
-    `chosen` comes with its `chosen_score`; both default to the cluster's
-    best-scoring member and its score.
+    `chosen`, a cluster member, defaults to the best-scoring one.
     """
     if best_cluster is None:
         return [Issue(code="insufficient_evidence",
                       detail="no candidate records retrieved after all passes")]
 
-    if chosen is None:
-        chosen, chosen_score = best_cluster.best_member, best_cluster.best_score
+    chosen = chosen or best_cluster.best_member
+    chosen_score = best_cluster.member_scores[chosen.key]
 
     issues: dict[str, Issue] = {}
     if chosen_score.title_sim < TITLE_MISMATCH_THRESHOLD:
         issues["title_mismatch"] = Issue(
             code="title_mismatch",
             detail=f"title similarity {chosen_score.title_sim:.2f} below "
-                   f"{TITLE_MISMATCH_THRESHOLD} against {chosen.source}:{chosen.source_id}")
+                   f"{TITLE_MISMATCH_THRESHOLD} against {chosen.key}")
     if chosen_score.identifier_signal == "conflict":
         conflicting = sorted(set(entry.identifier_map()) & set(chosen.identifier_map()))
         issues["identifier_conflict"] = Issue(
             code="identifier_conflict",
             detail=f"shared identifier(s) {', '.join(conflicting)} disagree with "
-                   f"{chosen.source}:{chosen.source_id}")
+                   f"{chosen.key}")
     if chosen_score.year_signal == "mismatch":
         issues["year_disagreement"] = Issue(
             code="year_disagreement",
@@ -450,25 +447,21 @@ def _status_for(confidence: float, issues: list[Issue], has_candidates: bool) ->
 
 @dataclass
 class _Retrieval:
-    """One entry's passes so far: evidence, outcomes and candidates in
-    pass/source order, and the score of each candidate it has seen."""
+    """One entry's passes so far: its steps in pass/source order, and the
+    first record seen per `CandidateRecord.key` with its score."""
 
     entry: ReferenceInput
-    evidence: list[tuple[int, Query, dict]] = field(default_factory=list)
-    outcomes: list[QueryOutcome] = field(default_factory=list)
-    collected: list[CandidateRecord] = field(default_factory=list)
-    # The score of the first record seen per "source:source_id".
+    steps: list[tuple[int, QueryOutcome]] = field(default_factory=list)
+    records: dict[str, CandidateRecord] = field(default_factory=dict)
     scores: dict[str, MatchScore] = field(default_factory=dict)
     passes_used: int = 0
 
-    def add(self, pass_number: int, query: Query, outcome: QueryOutcome,
-            keys: TextKeys) -> None:
-        self.outcomes.append(outcome)
-        self.evidence.append((pass_number, query, outcome.digest()))
+    def add(self, pass_number: int, outcome: QueryOutcome, keys: TextKeys) -> None:
+        self.steps.append((pass_number, outcome))
         for record in outcome.records or ():
-            self.collected.append(record)
-            key = _member_key(record)
-            if key not in self.scores:
+            key = record.key
+            if key not in self.records:
+                self.records[key] = record
                 self.scores[key] = score_match(self.entry, record, keys)
 
     def best(self) -> float:
@@ -479,44 +472,31 @@ def _verdict(state: _Retrieval, any_enabled: bool) -> EntryVerdict:
     """The entry's verdict once its passes are done.
 
     Candidates accumulated across passes and the final clustering runs over
-    the whole union. Connector failures fold into the evidence trace and
-    the not_checked status; nothing here raises for remote trouble.
+    the whole union. Connector failures fold into the steps and the
+    not_checked status; nothing here raises for remote trouble.
     """
     from . import manifestations  # deferred: manifestations imports our types
 
-    entry, outcomes = state.entry, state.outcomes
+    entry = state.entry
+    chosen, confidence, issues, status = None, 0.0, [], "not_checked"
     # not_checked covers: no sources enabled, no source able to serve any
     # query for this entry (nothing attempted), or every attempt failed.
-    not_checked = (not any_enabled) or (not outcomes) or all(o.failed for o in outcomes)
-    if not_checked:
-        return EntryVerdict(
-            entry=entry, status="not_checked", confidence=0.0, issues=(),
-            chosen=None, evidence=tuple(state.evidence),
-            passes_used=max(state.passes_used, 1), outcomes=tuple(outcomes),
-        )
-
-    clusters = dedupe_and_cluster(state.collected, entry, state.scores)
-    best_cluster = clusters[0] if clusters else None
-    chosen: CandidateRecord | None = None
-    chosen_score: MatchScore | None = None
-
-    if best_cluster is not None:
-        mset = manifestations.group_manifestations(best_cluster, entry)
-        chosen, conflict_issue = manifestations.resolve_preference(mset)
-        chosen_score = dict(best_cluster.member_scores)[_member_key(chosen)]
-        issues = derive_issues(entry, best_cluster, chosen, chosen_score)
-        if conflict_issue is not None:
-            issues = sorted(issues + [conflict_issue],
-                            key=lambda i: ISSUE_CODES.index(i.code))
-    else:
-        issues = derive_issues(entry, None)
-
-    confidence = chosen_score.confidence if chosen_score is not None else 0.0
-    status = _status_for(confidence, issues, chosen is not None)
+    if any_enabled and any(not outcome.failed for _, outcome in state.steps):
+        clusters = dedupe_and_cluster(list(state.records.values()), entry, state.scores)
+        if clusters:
+            mset = manifestations.group_manifestations(clusters[0], entry)
+            chosen, conflict_issue = manifestations.resolve_preference(mset)
+            confidence = clusters[0].member_scores[chosen.key].confidence
+            issues = derive_issues(entry, clusters[0], chosen)
+            if conflict_issue is not None:
+                issues = sorted(issues + [conflict_issue],
+                                key=lambda i: ISSUE_CODES.index(i.code))
+        else:
+            issues = derive_issues(entry, None)
+        status = _status_for(confidence, issues, chosen is not None)
     return EntryVerdict(
         entry=entry, status=status, confidence=confidence, issues=tuple(issues),
-        chosen=chosen, evidence=tuple(state.evidence), passes_used=state.passes_used,
-        outcomes=tuple(outcomes),
+        chosen=chosen, steps=tuple(state.steps), passes_used=max(state.passes_used, 1),
     )
 
 
@@ -578,6 +558,6 @@ def verify_entries(entries: list[ReferenceInput], transport: Transport,
             else:
                 fetched.update((job, query_source(*job, transport, config)) for job in todo)
             for state, source, query in asked:
-                state.add(pass_number, query, fetched[source, query], keys)
+                state.add(pass_number, fetched[source, query], keys)
             open_states = [s for s in open_states if s.best() < WEAK_THRESHOLD]
     return [_verdict(state, bool(enabled)) for state in states]

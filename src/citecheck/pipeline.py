@@ -281,8 +281,8 @@ def verdict_dict(verdict: EntryVerdict, relativize: Callable[[str | Path], str])
         "chosen": verdict.chosen.to_dict() if verdict.chosen else None,
         "passes_used": verdict.passes_used,
         "evidence": [
-            {"pass": p, "query": q.to_dict(), "outcome": digest}
-            for p, q, digest in verdict.evidence
+            {"pass": p, "query": outcome.query.to_dict(), "outcome": outcome.digest()}
+            for p, outcome in verdict.steps
         ],
     }
 

@@ -22,6 +22,11 @@ EXIT_PASS = 0
 EXIT_POLICY_FAIL = 1
 EXIT_OPERATIONAL_FAIL = 2
 
+# What each `BatchSummary.safety` count counts, as its blocking reason says.
+_SAFETY_LABELS = {"duplicate_keys": "duplicate-key findings",
+                  "unsafe_key_rewrites": "unsafe key rewrites",
+                  "manifestation_conflicts": "manifestation conflicts"}
+
 
 @dataclass(frozen=True)
 class BatchSummary:
@@ -71,8 +76,8 @@ class PolicyPreset:
     allow_replacement_with_needs_review: bool
 
 
-# The paper-facing preset names ship with these numbers as configuration
-# defaults; they are overridable through CLI/MCP configuration.
+# The paper-facing presets. CLI and MCP callers choose a preset by name;
+# the numbers themselves are fixed here.
 PRESETS: dict[str, PolicyPreset] = {
     "strict": PolicyPreset("strict", max_unresolved_ratio=0.10,
                            max_not_checked_ratio=0.05, min_verified_ratio=0.80,
@@ -190,15 +195,8 @@ def evaluate_policy(summary: BatchSummary, preset: PolicyPreset) -> PolicyDecisi
                             f"{preset.min_verified_ratio:.3f}"))
 
     safety_clear = not any(summary.safety.values())
-    if summary.duplicate_key_count:
-        reasons.append(("replacement_blocked_duplicate_keys",
-                        f"{summary.duplicate_key_count} duplicate-key findings"))
-    if summary.unsafe_key_rewrite_count:
-        reasons.append(("replacement_blocked_unsafe_key_rewrites",
-                        f"{summary.unsafe_key_rewrite_count} unsafe key rewrites"))
-    if summary.manifestation_conflict_count:
-        reasons.append(("replacement_blocked_manifestation_conflicts",
-                        f"{summary.manifestation_conflict_count} manifestation conflicts"))
+    reasons += [(f"replacement_blocked_{name}", f"{count} {_SAFETY_LABELS[name]}")
+                for name, count in summary.safety.items() if count]
 
     review_clear = (summary.needs_review_ratio == 0
                     or preset.allow_replacement_with_needs_review)

@@ -50,7 +50,8 @@ class KeyMapping:
         """Distinct old keys whose rename cannot be applied safely."""
         if not self.mapping:
             return 0
-        colliding = {old for old, new in self.mapping if new in set(self.collisions)}
+        collisions = set(self.collisions)
+        colliding = {old for old, new in self.mapping if new in collisions}
         outside = {old for old, _ in self.mapping} if self.unresolved_usages else set()
         return len(colliding | outside)
 

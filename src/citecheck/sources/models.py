@@ -83,6 +83,11 @@ class CandidateRecord:
             if value is not None and not isinstance(value, str):
                 raise ValueError(f"{name} must be a string, got {value!r}")
 
+    @property
+    def key(self) -> str:
+        """The record's identity across queries and passes, "source:source_id"."""
+        return f"{self.source}:{self.source_id}"
+
     def identifier_map(self) -> dict[str, str]:
         return textnorm.identifier_map(self.doi, self.pmid, self.arxiv_id)
 

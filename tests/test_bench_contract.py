@@ -72,4 +72,5 @@ def test_bench_uses_the_names_it_is_checked_on():
     imported = {name for path in FILES
                 for _, name in _imported(ast.parse(path.read_text(encoding="utf-8"))).values()}
     assert {"verify_entries", "plan_rewrite", "make_transport", "RunOptions",
-            "group_manifestations", "DEFAULT_WORKERS"} <= imported
+            "group_manifestations", "DEFAULT_WORKERS", "dedupe_and_cluster",
+            "resolve_preference", "score_match"} <= imported

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import corpus
 from citecheck import matching
 from citecheck.extraction import extract_references
@@ -9,7 +12,7 @@ from citecheck.manifestations import (PREFERENCE_RANK, group_manifestations,
                                       resolve_preference)
 from citecheck.matching import dedupe_and_cluster, verify_entry
 from citecheck.sources import FixtureStore, ReplayTransport
-from test_matching import make_candidate, make_entry
+from test_matching import _random_candidate, make_candidate, make_entry
 
 CONFIG = corpus.CONFIG
 
@@ -155,3 +158,30 @@ def test_doi_cited_journal_with_preprint_keeps_its_verdict(tmp_path, monkeypatch
         before.status, before.chosen, before.issues)
     assert (verdict.status, verdict.issues) == ("verified", ())
     assert (verdict.chosen.source, verdict.chosen.doi) == ("crossref", spec.doi)
+
+
+def _linked_component(cluster, anchor):
+    """The work set as a breadth-first walk over shared or asserted
+    identifiers, as it was found before `matching.components`; kept as a
+    reference."""
+    members = list(cluster.members)
+    component = {anchor.key}
+    frontier = [anchor]
+    while frontier:
+        current = frontier.pop()
+        for other in members:
+            if other.key not in component and (current.all_identifiers()
+                                               & other.all_identifiers()):
+                component.add(other.key)
+                frontier.append(other)
+    return [m for m in members if m.key in component]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False), count=st.integers(1, 8))
+def test_work_set_is_the_identifier_linked_component(rng, count):
+    entry = make_entry(title="alpha beta gamma delta", doi="10.1/a")
+    records = [_random_candidate(rng) for _ in range(count)]
+    for cluster in dedupe_and_cluster(records, entry):
+        mset = group_manifestations(cluster, entry)
+        assert list(mset.work_members) == _linked_component(cluster, cluster.best_member)

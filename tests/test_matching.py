@@ -17,8 +17,7 @@ import corpus
 from citecheck import matching, textnorm
 from citecheck.extraction import extract_references
 from citecheck.extraction.models import RawReference, ReferenceInput
-from citecheck.matching import (STOP_WORDS, cluster_join,
-                                dedupe_and_cluster, derive_issues,
+from citecheck.matching import (cluster_join, dedupe_and_cluster, derive_issues,
                                 relaxed_query_text, score_match, source_pass_query,
                                 title_similarity, verify_entries, verify_entry)
 from citecheck.sources import (CandidateRecord, FixtureStore, ReplayTransport, Transport,
@@ -27,6 +26,7 @@ from citecheck.sources.config import SourceConfig
 from citecheck.sources.connectors import arxiv_request
 from citecheck.sources.models import SOURCES, Query
 from citecheck.sources.transport import RawResponse
+from citecheck.textnorm import STOP_WORDS
 
 CONFIG = corpus.CONFIG
 
@@ -399,6 +399,17 @@ def test_cluster_ordering_is_deterministic():
     assert clusters[0].best_member.source_id == "s"
 
 
+def test_exact_score_tie_picks_the_smallest_key():
+    entry = make_entry(doi="10.1/x")
+    twins = [make_candidate(doi="10.1/x", source=source, source_id=source_id)
+             for source, source_id in (("pubmed", "1"), ("crossref", "b"), ("crossref", "a"))]
+    assert len({score_match(entry, twin) for twin in twins}) == 1
+    clusters = dedupe_and_cluster(twins, entry)
+    assert len(clusters) == 1
+    assert clusters[0].best_member.key == "crossref:a"
+    assert clusters[0].best_score == score_match(entry, twins[2])
+
+
 # ---------------------------------------------------------------------------
 # derive_issues
 # ---------------------------------------------------------------------------
@@ -518,6 +529,16 @@ def test_entry_resolving_only_in_pass_three(corpus_paths):
         for p, _, digest in verdict.evidence:
             if p == pass_number:
                 assert digest["result"] == "failure"
+
+
+def test_evidence_and_outcomes_are_views_of_the_steps(corpus_paths):
+    """A verdict keeps one list of (pass, outcome) steps; the report's
+    evidence and the outcomes are read off it."""
+    entries = extract_references(corpus_paths["multipass"] / "obscure.bib").entries
+    verdict = verify_entry(entries[0], _replay(corpus_paths), CONFIG)
+    assert {p for p, _ in verdict.steps} == {1, 2, 3}
+    assert verdict.evidence == tuple((p, o.query, o.digest()) for p, o in verdict.steps)
+    assert verdict.outcomes == tuple(o for _, o in verdict.steps)
 
 
 def test_unservable_entry_is_not_checked(corpus_paths):

@@ -22,14 +22,14 @@ def _verdict(status, ordinal=1, issues=(), failures=()) -> EntryVerdict:
     if status in ("verified", "needs_review"):
         chosen = CandidateRecord(source="crossref", source_id=f"c{ordinal}",
                                  title=f"T{ordinal}")
-    outcomes = tuple(
-        QueryOutcome(source="crossref", query=Query(kind="title_search", text="t"),
-                     failure=FailureClass(f, "probe"))
+    steps = tuple(
+        (1, QueryOutcome(source="crossref", query=Query(kind="title_search", text="t"),
+                         failure=FailureClass(f, "probe")))
         for f in failures)
     return EntryVerdict(entry=entry, status=status,
                         confidence=0.95 if status == "verified" else 0.3,
                         issues=tuple(Issue(code=c, detail="d") for c in issues),
-                        chosen=chosen, evidence=(), passes_used=1, outcomes=outcomes)
+                        chosen=chosen, steps=steps, passes_used=1)
 
 
 def _summary(verified=0.0, needs_review=0.0, unresolved=0.0, not_checked=0.0,

@@ -13,9 +13,7 @@ from dataclasses import MISSING
 
 from . import __version__, mcp_server
 from .errors import CitecheckError, UsageError
-from .pipeline import (RunOptions, front_end_options, render_output, report_json,
-                       run_repair, scan_report_dict)
-from .workspace import scan_workspace
+from .pipeline import COMMANDS, RunOptions, front_end_options, run_command
 
 EX_USAGE = 64
 EX_OPERATIONAL = 2
@@ -50,20 +48,11 @@ def build_parser() -> _Parser:
                      description="Verify and repair bibliographies in paper-like "
                                  "project folders.")
     sub = parser.add_subparsers(dest="command")
-
-    common = argparse.ArgumentParser(add_help=False)
-    _add_options(common)
-    _add_options(sub.add_parser("scan", help="rank candidate artifacts under a path"),
-                 scan=True)
-    sub.add_parser("analyze", parents=[common],
-                   help="extract and verify references; exit per policy")
-    sub.add_parser("plan", parents=[common], help="analysis plus the rewrite plan")
-    sub.add_parser("apply", parents=[common],
-                   help="plan and then apply with the chosen write mode")
-    sub.add_parser("repair", parents=[common],
-                   help="full pipeline; writes only in replacement mode")
-    sub.add_parser("serve", help="run the MCP stdio server")
-    sub.add_parser("version", help="print the version")
+    for command, (_, description) in COMMANDS.items():
+        command_parser = sub.add_parser(command, help=description)
+        if command != "version":
+            _add_options(command_parser, scan=command == "scan")
+    sub.add_parser("serve", help="Run the MCP stdio server.")
     return parser
 
 
@@ -81,17 +70,11 @@ def run(argv: list[str] | None = None) -> int:
             mcp_server.serve()
             return 0
         options = RunOptions.from_arguments(args, scan=command == "scan")
-        if command == "scan":
-            report = scan_workspace(options.path, max_depth=options.max_depth)
-            print(report_json(scan_report_dict(report)))
-            return 0
-        result = run_repair(options, stage=command)
-        print(render_output(result, options.fmt))
-        if result.apply_error is not None:
+        payload, result = run_command(command, options)
+        print(payload)
+        if result is not None and result.apply_error is not None:
             print(f"citecheck: {result.apply_error}", file=sys.stderr)
-        if command in ("analyze", "repair"):
-            return result.exit_code
-        return 0
+        return result.exit_code if command in ("analyze", "repair") else 0
     except UsageError as exc:
         print(f"citecheck: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

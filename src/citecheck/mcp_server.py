@@ -25,36 +25,18 @@ from typing import Any, TextIO
 
 from . import __version__
 from .errors import CitecheckError
-from .pipeline import (RunOptions, front_end_options, render_output, report_json,
-                       run_repair, scan_report_dict)
+from .pipeline import COMMANDS, RunOptions, front_end_options, run_command
 from .sources import Query, QueryOutcome
-from .workspace import scan_workspace
 
 PROTOCOL_VERSION = "2024-11-05"
 
-# Tool name -> (pipeline stage, description). scan_workspace takes scan's
-# options, the four pipeline tools take all of them, like the CLI subcommands.
-_TOOLS = {
-    "scan_workspace": ("scan", "Rank the paper-like files under a path and select the "
-                       "primary manuscript or bibliography artifact."),
-    "analyze_references": ("analyze", "Extract references from the selected artifact and "
-                           "verify them against scholarly metadata sources."),
-    "plan_reference_rewrite": ("plan", "Produce a policy-gated rewrite plan with patch "
-                               "previews and key-mapping risk; pass format for the "
-                               "corrected bibliography instead of the report."),
-    "apply_reference_rewrite": ("apply", "Apply a rewrite plan in preview, sidecar, or "
-                                "replace mode. Blocked plans refuse write-back."),
-    "repair_paper": ("repair", "Full pipeline: scan, extract, verify, resolve manifestations, "
-                     "evaluate policy, plan, and optionally write. Returns the structured "
-                     "report."),
-    "citecheck_version": ("version", "Version of this citecheck build."),
-}
+_TOOL_COMMANDS = {tool: command for command, (tool, _) in COMMANDS.items()}
 
 _JSON_TYPES = {str: "string", int: "integer", bool: "boolean", tuple: "array"}
 
 
-def _input_schema(stage: str) -> dict:
-    options = [] if stage == "version" else front_end_options(scan=stage == "scan")
+def _input_schema(command: str) -> dict:
+    options = [] if command == "version" else front_end_options(scan=command == "scan")
     properties = {}
     for f, name, kind in options:
         meta = f.metadata
@@ -72,8 +54,8 @@ def _input_schema(stage: str) -> dict:
 
 def tool_descriptors() -> list[dict]:
     """The six-tool surface, stable across calls."""
-    return [{"name": name, "description": description, "inputSchema": _input_schema(stage)}
-            for name, (stage, description) in _TOOLS.items()]
+    return [{"name": tool, "description": description, "inputSchema": _input_schema(command)}
+            for command, (tool, description) in COMMANDS.items()]
 
 
 class McpServer:
@@ -86,19 +68,17 @@ class McpServer:
 
     def call_tool(self, name: str, args: dict) -> tuple[str, bool]:
         """Run one tool; returns (payload text, is_error)."""
-        stage = _TOOLS[name][0]
-        if stage == "version":
+        command = _TOOL_COMMANDS[name]
+        if command == "version":
             return json.dumps({"version": __version__}), False
-        options = RunOptions.from_arguments(args, scan=stage == "scan")
-        if stage == "scan":
-            report = scan_workspace(options.path, max_depth=options.max_depth)
-            return report_json(scan_report_dict(report)), False
+        options = RunOptions.from_arguments(args, scan=command == "scan")
+        if command == "scan":
+            return run_command(command, options)[0], False
         config = options.source_config()
         key = (config.transport_mode, config.fixtures_dir)
-        run = run_repair(options, stage=stage, known=self.known.get(key, {}))
+        payload, run = run_command(command, options, known=self.known.get(key, {}))
         self.known = {key: {(o.source, o.query): o for v in run.verdicts for o in v.outcomes
                             if o.failure is None or not o.failure.retryable}}
-        payload = render_output(run, options.fmt)
         # A write that policy refused is an error payload, but the report still
         # travels with it so callers see the full diagnostics.
         return payload, run.apply_error is not None
@@ -139,7 +119,7 @@ class McpServer:
             if not isinstance(name, str):
                 self._error(request_id, -32602, "params must be an object whose name is a string")
                 return
-            if name not in _TOOLS:
+            if name not in _TOOL_COMMANDS:
                 self._error(request_id, -32601, f"unknown tool: {name}")
                 return
             args = params.get("arguments") or {}

@@ -30,7 +30,23 @@ from .sources.models import DEFAULT_QUERY_LIMIT, MAX_QUERY_LIMIT, SOURCES
 from .workspace import (DEFAULT_MAX_DEPTH, ScanReport, scan_workspace,
                         select_primary_artifact)
 
-STAGES = ("analyze", "plan", "apply", "repair")
+# The one list of commands: command -> (MCP tool name, description). `scan`
+# takes scan's options, `version` none, and the four pipeline stages all of
+# them. The CLI adds `serve`, which runs the MCP server.
+COMMANDS = {
+    "scan": ("scan_workspace", "Rank the paper-like files under a path and select the "
+             "primary manuscript or bibliography artifact."),
+    "analyze": ("analyze_references", "Extract references from the selected artifact and "
+                "verify them against scholarly metadata sources."),
+    "plan": ("plan_reference_rewrite", "Produce a policy-gated rewrite plan with patch "
+             "previews and key-mapping risk; pass format for the corrected bibliography "
+             "instead of the report."),
+    "apply": ("apply_reference_rewrite", "Apply a rewrite plan in preview, sidecar, or "
+              "replace mode. Blocked plans refuse write-back."),
+    "repair": ("repair_paper", "Full pipeline: scan, extract, verify, resolve manifestations, "
+               "evaluate policy, plan, and optionally write. Returns the structured report."),
+    "version": ("citecheck_version", "Version of this citecheck build."),
+}
 
 
 def _option(help: str, default=MISSING, *, name: str | None = None, choices=None,
@@ -128,10 +144,6 @@ class RepairRun:
     extraction: ExtractionResult | None = None
 
 
-def _posix(path: str | Path) -> str:
-    return str(path).replace(os.sep, "/")
-
-
 def _relativizer(base: Path) -> Callable[[str | Path], str]:
     """Paths relative to `base`, resolving `base` and each distinct path once.
 
@@ -144,7 +156,7 @@ def _relativizer(base: Path) -> Callable[[str | Path], str]:
         try:
             return Path(path).resolve().relative_to(base).as_posix()
         except ValueError:
-            return _posix(path)
+            return str(path).replace(os.sep, "/")
     return relativize
 
 
@@ -167,7 +179,7 @@ def render_output(result: "RepairRun", fmt: str) -> str:
 
 def scan_report_dict(report: ScanReport) -> dict:
     return {
-        "root": _posix(report.root),
+        "root": report.root,
         "selected": report.selected.path if report.selected else None,
         "candidates": [
             {
@@ -186,13 +198,25 @@ def scan_report_dict(report: ScanReport) -> dict:
     }
 
 
+def run_command(command: str, options: RunOptions,
+                known: Mapping[tuple[str, Query], QueryOutcome] | None = None
+                ) -> tuple[str, RepairRun | None]:
+    """The payload both front ends print for `command` (any but version), and
+    the pipeline run behind it: None for scan. `known`: see run_repair."""
+    if command == "scan":
+        scan = scan_workspace(options.path, max_depth=options.max_depth)
+        return report_json(scan_report_dict(scan)), None
+    run = run_repair(options, stage=command, known=known)
+    return render_output(run, options.fmt), run
+
+
 def run_repair(options: RunOptions, stage: str = "repair",
                known: Mapping[tuple[str, Query], QueryOutcome] | None = None) -> RepairRun:
     """Execute the pipeline up to `stage` and assemble the structured report.
 
     `known`: source outcomes to reuse instead of fetching (see verify_entries).
     """
-    if stage not in STAGES:
+    if stage not in COMMANDS or stage in ("scan", "version"):
         raise ValueError(f"unknown stage: {stage}")
 
     root = Path(options.path)
@@ -280,10 +304,8 @@ def verdict_dict(verdict: EntryVerdict, relativize: Callable[[str | Path], str])
         "issues": [{"code": i.code, "detail": i.detail} for i in verdict.issues],
         "chosen": verdict.chosen.to_dict() if verdict.chosen else None,
         "passes_used": verdict.passes_used,
-        "evidence": [
-            {"pass": p, "query": outcome.query.to_dict(), "outcome": outcome.digest()}
-            for p, outcome in verdict.steps
-        ],
+        "evidence": [{"pass": p, "query": query.to_dict(), "outcome": digest}
+                     for p, query, digest in verdict.evidence],
     }
 
 
@@ -303,27 +325,15 @@ def assemble_report(options: RunOptions, base_dir: Path, scan: ScanReport,
         }
         for v in verdicts if v.status != "verified"
     ]
-    plan_dict = None
-    if plan is not None:
-        plan_dict = plan.to_dict()
-        plan_dict["patches"] = [
-            {**p.to_dict(), "target_path": relativize(p.target_path)}
-            for p in plan.patches
-        ]
-        plan_dict["content_digests"] = {
-            relativize(path): digest for path, digest in plan.content_digests
-        }
-
     apply_dict = None
     if apply_result is not None:
-        apply_dict = apply_result.to_dict()
-        apply_dict["written_paths"] = [relativize(p) for p in apply_result.written_paths]
+        apply_dict = apply_result.to_dict(relativize)
     elif apply_error is not None:
         apply_dict = {"error": {"type": "BlockedByPolicy", "message": apply_error}}
 
     return {
         "citecheck_version": __version__,
-        "root": _posix(scan.root),
+        "root": scan.root,
         "artifact": artifact_rel,
         "config": {
             "mode": options.mode,
@@ -357,7 +367,7 @@ def assemble_report(options: RunOptions, base_dir: Path, scan: ScanReport,
         "source_health": [h.to_dict() for h in health],
         "summary": summary.to_dict(),
         "decision": decision.to_dict(),
-        "plan": plan_dict,
+        "plan": plan.to_dict(relativize) if plan is not None else None,
         "replacement": _replacement_status(options, decision, plan, apply_result,
                                            apply_error),
         "apply": apply_dict,

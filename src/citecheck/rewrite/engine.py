@@ -373,13 +373,26 @@ def _unified_diff(path: str, original: bytes, patches: list[Patch], encoding: st
     before_starts = list(itertools.accumulate(map(len, before), initial=0))
     after_starts = list(itertools.accumulate(map(len, after), initial=0))
 
-    # Windows that overlap or touch are merged before any matching, so each
-    # matched window starts and ends on lines both sides share.
-    windows: list[list[int]] = []
+    # Windows that overlap or touch are merged, then trimmed to the lines that
+    # differ. A window also absorbs a lone shared line between it and the one
+    # before it, or the file's start or end: whole-file difflib can pair such a
+    # line with its twin inside the window, where a longer run of shared lines
+    # stays paired with itself.
+    touching: list[list[int]] = []
     for b_start, b_end, a_start, a_end in spans:
         i1, i2 = _line_window(before_starts, b_start, b_end)
         j1, j2 = _line_window(after_starts, a_start, a_end)
-        if windows and (i1 <= windows[-1][1] or j1 <= windows[-1][3]):
+        if touching and (i1 <= touching[-1][1] or j1 <= touching[-1][3]):
+            touching[-1][1], touching[-1][3] = i2, j2
+        else:
+            touching.append([i1, i2, j1, j2])
+    windows = [[0, 0, 0, 0]]
+    for i1, i2, j1, j2 in touching + [[len(before), len(before), len(after), len(after)]]:
+        while i1 < i2 and j1 < j2 and before[i2 - 1] == after[j2 - 1]:
+            i2, j2 = i2 - 1, j2 - 1
+        while i1 < i2 and j1 < j2 and before[i1] == after[j1]:
+            i1, j1 = i1 + 1, j1 + 1
+        if i1 <= windows[-1][1] + 1:
             windows[-1][1], windows[-1][3] = i2, j2
         else:
             windows.append([i1, i2, j1, j2])
@@ -393,8 +406,6 @@ def _unified_diff(path: str, original: bytes, patches: list[Patch], encoding: st
         for tag, a1, a2, b1, b2 in matcher.get_opcodes():
             _add_opcode(opcodes, (tag, i1 + a1, i1 + a2, j1 + b1, j1 + b2))
         i, j = i2, j2
-    if i < len(before):
-        _add_opcode(opcodes, ("equal", i, len(before), j, len(after)))
 
     name = Path(path).name
     lines: list[str] = []
@@ -418,8 +429,10 @@ def apply_rewrite(plan: RewritePlan, write_mode: str) -> ApplyResult:
     Preview never writes. Sidecar writes `<stem>.citecheck.<ext>` next to
     each patched file and leaves originals untouched. Replace backs each
     file up to `<name>.bak` first; if any backup already exists it writes
-    nothing at all. Each file's patches are joined in ascending span order
-    over the bytes checked against the plan, so byte offsets stay valid.
+    nothing at all. A write the system refuses (an OSError) raises
+    WriteDenied; files written before it stay written. Each file's patches
+    are joined in ascending span order over the bytes checked against the
+    plan, so byte offsets stay valid.
     `diff_text` shows the hunks around each patch with 3 lines of context.
     """
     if write_mode not in ("preview", "sidecar", "replace"):
@@ -460,15 +473,18 @@ def apply_rewrite(plan: RewritePlan, write_mode: str) -> ApplyResult:
             if backup.exists():
                 raise WriteDenied(f"backup already exists, refusing to overwrite: {backup}")
     written: list[str] = []
-    for target, data in patched.items():
-        if write_mode == "sidecar":
-            out_path = sidecar_path(Path(target))
-            out_path.write_bytes(data)
-            written.append(str(out_path))
-        elif write_mode == "replace":
-            backups[target].write_bytes(originals[target])
-            Path(target).write_bytes(data)
-            written.append(str(Path(target)))
+    try:
+        for target, data in patched.items():
+            if write_mode == "sidecar":
+                out_path = sidecar_path(Path(target))
+                out_path.write_bytes(data)
+                written.append(str(out_path))
+            elif write_mode == "replace":
+                backups[target].write_bytes(originals[target])
+                Path(target).write_bytes(data)
+                written.append(str(Path(target)))
+    except OSError as exc:
+        raise WriteDenied(f"cannot write: {exc}") from exc
 
     return ApplyResult(
         write_mode=write_mode,

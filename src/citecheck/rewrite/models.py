@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 PATCH_KINDS = ("entry_replace", "field_update", "key_rename")
@@ -26,9 +27,10 @@ class Patch:
         if start < 0 or end < start:
             raise ValueError(f"invalid patch span: {self.span}")
 
-    def to_dict(self) -> dict:
+    def to_dict(self, path: Callable[[str], str] = str) -> dict:
+        """`path` maps each file path, as a report relativizes them."""
         return {
-            "target_path": self.target_path,
+            "target_path": path(self.target_path),
             "span": list(self.span),
             "replacement_text": self.replacement_text,
             "entry_ordinal": self.entry_ordinal,
@@ -87,15 +89,15 @@ class RewritePlan:
                 if s2 < e1:
                     raise ValueError(f"overlapping patches in {target}")
 
-    def to_dict(self) -> dict:
+    def to_dict(self, path: Callable[[str], str] = str) -> dict:
         return {
             "mode": self.mode,
             "blocked": self.blocked,
             "patch_count": len(self.patches),
-            "patches": [p.to_dict() for p in self.patches],
+            "patches": [p.to_dict(path) for p in self.patches],
             "key_mapping": self.key_mapping.to_dict(),
             "safety": dict(self.safety),
-            "content_digests": {path: digest for path, digest in self.content_digests},
+            "content_digests": {path(p): digest for p, digest in self.content_digests},
             "plan_digest": self.plan_digest,
         }
 
@@ -107,10 +109,10 @@ class ApplyResult:
     diff_text: str
     applied: bool
 
-    def to_dict(self) -> dict:
+    def to_dict(self, path: Callable[[str], str] = str) -> dict:
         return {
             "write_mode": self.write_mode,
-            "written_paths": list(self.written_paths),
+            "written_paths": [path(p) for p in self.written_paths],
             "diff_text": self.diff_text,
             "applied": self.applied,
         }

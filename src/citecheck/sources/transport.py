@@ -248,6 +248,10 @@ def make_transport(mode: str, fixtures_dir: str | Path | None = None) -> Transpo
     if mode == "replay":
         return ReplayTransport(store)
     if mode == "record":
+        try:  # before any request: a store that cannot be written is bad config
+            store.directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create fixtures directory: {exc}") from exc
         return RecordTransport(store)
     raise ConfigError(f"unknown transport mode: {mode}")
 

@@ -190,3 +190,33 @@ def test_bad_source_config_in_environment_exits_2(tmp_path, capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"citecheck: ConfigError: {message}\n"
+
+
+def test_unwritable_sidecar_exits_2_with_one_line(tmp_path, corpus_paths, capsys):
+    import shutil
+    workspace = tmp_path / "biomed"
+    shutil.copytree(corpus_paths["biomed"], workspace)
+    (workspace / "biomed.citecheck.bib").mkdir()  # where the sidecar goes
+    code = run(_replay_args("repair", workspace, corpus_paths,
+                            "--mode", "replacement", "--write", "sidecar"))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("citecheck: WriteDenied: cannot write: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_unwritable_record_store_exits_2_before_any_request(tmp_path, capsys, monkeypatch):
+    import requests
+    sent = []
+    monkeypatch.setattr(requests.Session, "get", lambda *a, **k: sent.append(a))
+    (tmp_path / "refs.bib").write_text("@misc{k, title={A title to look up}}\n")
+    store = tmp_path / "store"
+    store.write_text("a file, not a directory")
+    code = run(["analyze", "--path", str(tmp_path), "--transport", "record",
+                "--fixtures-dir", str(store)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert sent == []
+    assert captured.err.startswith("citecheck: ConfigError: cannot create fixtures directory")
+    assert captured.err.count("\n") == 1

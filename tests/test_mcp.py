@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from citecheck import __version__
 from citecheck.cli import build_parser
 from citecheck.mcp_server import McpServer, tool_descriptors
-from citecheck.pipeline import RunOptions, front_end_options, run_repair
+from citecheck.pipeline import COMMANDS, RunOptions, front_end_options, run_repair
 from citecheck.sources import transport
 
 EXPECTED_TOOLS = ["scan_workspace", "analyze_references", "plan_reference_rewrite",
@@ -146,6 +146,32 @@ def test_apply_tool_sidecar(tmp_path, corpus_paths):
     assert (workspace / "biomed.citecheck.bib").exists()
     report = json.loads(result["content"][0]["text"])
     assert report["apply"]["applied"] is True
+
+
+def test_unwritable_sidecar_is_write_denied(tmp_path, corpus_paths):
+    import shutil
+    workspace = tmp_path / "biomed"
+    shutil.copytree(corpus_paths["biomed"], workspace)
+    (workspace / "biomed.citecheck.bib").mkdir()  # where the sidecar goes
+    responses = _exchange([_call("repair_paper", {
+        "path": str(workspace), "mode": "replacement", "write": "sidecar",
+        "transport": "replay", "fixtures_dir": str(corpus_paths["fixtures"])})])
+    result = responses[0]["result"]
+    assert result["isError"] is True
+    assert json.loads(result["content"][0]["text"])["error"]["type"] == "WriteDenied"
+
+
+def test_cli_subcommands_mirror_tools_with_one_description():
+    """One command table: each CLI subcommand but serve is one MCP tool, and
+    each pair shows the same description."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    cli = {a.dest: a.help for a in subparsers._choices_actions if a.dest != "serve"}
+    tools = {t["name"]: t["description"] for t in tool_descriptors()}
+    assert set(cli) == set(COMMANDS)
+    assert set(tools) == {tool for tool, _ in COMMANDS.values()}
+    for command, (tool, _) in COMMANDS.items():
+        assert cli[command] == tools[tool]
 
 
 # The one option table (RunOptions) fixes both surfaces.

@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpus
@@ -682,6 +682,10 @@ def _patched_text(draw, alphabet="ab}é\r\n"):
 
 @settings(max_examples=500, deadline=None, database=None)
 @given(_patched_text())
+@example(("a\r\r\raa", "utf-8",  # the patches cancel out across one line
+          [Patch("x.bib", (0, 0), "", 1, "field_update"),
+           Patch("x.bib", (0, 4), "a\r\r\raa", 1, "field_update"),
+           Patch("x.bib", (4, 6), "", 1, "field_update")]))
 def test_preview_diff_hunks_rebuild_the_patched_lines(case):
     text, codec, patches = case
     data = text.encode(codec)
@@ -713,6 +717,20 @@ def test_preview_diff_equals_difflib_on_distinct_lines(numbers, newline, final_n
         text.splitlines(keepends=True), after.splitlines(keepends=True),
         fromfile="x.bib", tofile="x.bib (rewritten)"))
     assert _unified_diff("x.bib", original, patches, "utf-8") == expected
+
+
+def test_preview_diff_equals_difflib_when_a_patch_makes_a_twin_line():
+    """A patch that turns `line 1004` into `line 1` next to an unchanged
+    `line 1`: difflib pairs the unchanged line with the new one."""
+    numbers = [*range(100, 108), *range(1000, 1005), 0, 2, 3, 1]
+    text = "".join(f"line {n}\n" for n in numbers)
+    patches = [Patch("x.bib", (118, 137), "\n", 1, "field_update")]
+    after = _apply_patches(text.encode(), patches, "utf-8").decode()
+    expected = "".join(difflib.unified_diff(
+        text.splitlines(keepends=True), after.splitlines(keepends=True),
+        fromfile="x.bib", tofile="x.bib (rewritten)"))
+    assert expected.endswith(" line 1\n+ine 3\n+line 1\n")
+    assert _unified_diff("x.bib", text.encode(), patches, "utf-8") == expected
 
 
 def test_preview_diff_keeps_final_closing_brace_as_context():

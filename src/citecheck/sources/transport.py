@@ -21,13 +21,17 @@ from functools import cached_property
 from pathlib import Path
 from urllib.parse import quote, urlsplit
 
-import requests
-
 from ..errors import ConfigError, FixtureMissing
 from .models import FailureClass
 
 RETRY_MAX_ATTEMPTS = 3  # 1 initial + 2 retries
 RETRY_BASE_DELAY_S = 0.5
+RETRY_AFTER_MAX_S = 30  # a longer Retry-After ends the retries
+
+# The HTTP stack, imported by the first LiveTransport: scan, replay runs and
+# the MCP server send no request and so never load it. A stand-in set here
+# before then (tests, the benchmark's simulated sources) is kept.
+requests = None
 
 
 @dataclass(frozen=True)
@@ -124,11 +128,11 @@ class FixtureStore:
 
     def load(self, key: str) -> RawResponse:
         """The response recorded for `key`; FixtureMissing if none is, or it is unreadable."""
-        path = _fixture_path(self.directory, key)
-        if not path.is_file():
-            raise FixtureMissing(key)
         try:
-            return _recorded_response(json.loads(path.read_text(encoding="utf-8")))
+            text = _fixture_path(self.directory, key).read_text(encoding="utf-8")
+            return _recorded_response(json.loads(text))
+        except (FileNotFoundError, IsADirectoryError):
+            raise FixtureMissing(key) from None
         except (OSError, ValueError, RecursionError) as exc:
             raise FixtureMissing(key, f"unreadable fixture file ({exc})") from exc
 
@@ -160,17 +164,28 @@ class Transport:
         raise NotImplementedError
 
 
+def _retry_after_s(response: RawResponse) -> float | None:
+    """The response's `Retry-After` in seconds, or None when it has none in
+    delta-seconds form (RFC 9110 section 10.2.3; an HTTP-date counts as none)."""
+    value = dict(response.headers).get("retry-after", "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
+
+
 class LiveTransport(Transport):
     """Real HTTP with bounded retries (full-jitter exponential backoff).
 
     A response is retried, at most twice and starting at 500 ms, exactly
     when `response_failure` marks it retryable (connection errors, 429,
-    5xx). A passed-in `session` is shared by every thread; otherwise each
-    thread that fetches gets its own.
+    5xx). A `Retry-After` of at most RETRY_AFTER_MAX_S seconds replaces the
+    backoff; a longer one ends the retries. A passed-in `session` is shared
+    by every thread; otherwise each thread that fetches gets its own.
     """
 
     def __init__(self, timeout_s: float = 15.0, session: requests.Session | None = None,
                  sleep=time.sleep, rng: random.Random | None = None):
+        global requests
+        if requests is None:
+            import requests
         self.timeout_s = timeout_s
         self._shared = session
         self._local = threading.local()
@@ -200,7 +215,7 @@ class LiveTransport(Transport):
         except requests.RequestException as exc:
             return RawResponse(status=None, body=b"", io_error=f"{type(exc).__name__}: {exc}")
         headers = tuple(sorted((k.lower(), v) for k, v in resp.headers.items()
-                               if k.lower() in ("content-type",)))
+                               if k.lower() in ("content-type", "retry-after")))
         return RawResponse(status=resp.status_code, body=resp.content, headers=headers)
 
     def fetch(self, request: HttpRequest) -> RawResponse:
@@ -209,7 +224,12 @@ class LiveTransport(Transport):
             failure = response_failure(response)
             if failure is None or not failure.retryable:
                 break
-            self._sleep(RETRY_BASE_DELAY_S * (2 ** (attempt - 1)) * self._rng.random())
+            delay = _retry_after_s(response)
+            if delay is None:
+                delay = RETRY_BASE_DELAY_S * (2 ** (attempt - 1)) * self._rng.random()
+            elif delay > RETRY_AFTER_MAX_S:
+                break
+            self._sleep(delay)
             response = self._attempt(request)
         return response
 

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -220,3 +225,52 @@ def test_unwritable_record_store_exits_2_before_any_request(tmp_path, capsys, mo
     assert sent == []
     assert captured.err.startswith("citecheck: ConfigError: cannot create fixtures directory")
     assert captured.err.count("\n") == 1
+
+
+_NO_HTTP_STACK = r"""
+import io, json, sys
+fixtures, paper, out = sys.argv[1:]
+loaded = {}
+import citecheck.cli as cli
+loaded["import"] = "requests" in sys.modules
+replay = ["--path", paper, "--transport", "replay", "--fixtures-dir", fixtures]
+for name, argv in [("version", ["version"]), ("scan", ["scan", "--path", paper]),
+                   ("analyze", ["analyze", *replay]),
+                   ("repair", ["repair", *replay, "--mode", "replacement",
+                               "--write", "sidecar"])]:
+    cli.run(argv)
+    loaded[name] = "requests" in sys.modules
+from citecheck.mcp_server import McpServer
+args = {"path": paper, "transport": "replay", "fixtures_dir": fixtures}
+lines = [{"jsonrpc": "2.0", "id": 0, "method": "initialize", "params": {}},
+         {"jsonrpc": "2.0", "id": 1, "method": "tools/list"}]
+lines += [{"jsonrpc": "2.0", "id": n, "method": "tools/call",
+           "params": {"name": name, "arguments": args}}
+          for n, name in enumerate(["analyze_references", "repair_paper"], 2)]
+stdout = io.StringIO()
+McpServer(stdin=io.StringIO("\n".join(map(json.dumps, lines)) + "\n"), stdout=stdout).serve()
+loaded["mcp"] = "requests" in sys.modules
+loaded["mcp_results"] = [json.loads(line)["result"].get("isError")
+                         for line in stdout.getvalue().splitlines()]
+from citecheck.sources.transport import LiveTransport
+LiveTransport()
+loaded["live"] = "requests" in sys.modules
+with open(out, "w", encoding="utf-8") as fh:
+    json.dump(loaded, fh)
+"""
+
+
+def test_only_a_live_transport_loads_the_http_stack(tmp_path, corpus_paths):
+    """Import, version, scan, replay runs and an MCP session over replay
+    never import requests; the first LiveTransport does."""
+    paper = tmp_path / "biomed"
+    shutil.copytree(corpus_paths["biomed"], paper)
+    out = tmp_path / "loaded.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    subprocess.run([sys.executable, "-c", _NO_HTTP_STACK, str(corpus_paths["fixtures"]),
+                    str(paper), str(out)], env=env, check=True, capture_output=True)
+    loaded = json.loads(out.read_text(encoding="utf-8"))
+    assert loaded == {"import": False, "version": False, "scan": False, "analyze": False,
+                      "repair": False, "mcp": False, "mcp_results": [None, None, False, False],
+                      "live": True}
+    assert (paper / "biomed.citecheck.bib").is_file()

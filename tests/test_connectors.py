@@ -23,6 +23,7 @@ from citecheck.sources import (SOURCE_CAPABILITIES, SOURCES, FixtureStore, LiveT
 from citecheck.sources.connectors import (arxiv_request, crossref_request,
                                           parse_arxiv_feed, parse_crossref_body,
                                           parse_pubmed_esummary, parse_s2_body)
+from citecheck.sources import transport as transport_module
 from citecheck.sources.models import CandidateRecord, FailureClass, QueryOutcome
 from citecheck.sources.transport import HttpRequest, RawResponse
 from test_matching import make_entry
@@ -213,6 +214,22 @@ def test_replay_missing_fixture_names_key(tmp_path):
     assert request_key(request) in str(excinfo.value)
 
 
+def test_fixture_load_messages(tmp_path):
+    """No file, a directory in its place, and a file that will not parse."""
+    store = FixtureStore(tmp_path)
+    key = "crossref|/works|rows=1"
+    with pytest.raises(FixtureMissing, match=r"^no recorded fixture for request key: "):
+        store.load(key)
+    path = transport_module._fixture_path(tmp_path, key)
+    path.mkdir()
+    with pytest.raises(FixtureMissing, match=r"^no recorded fixture for request key: "):
+        store.load(key)
+    path.rmdir()
+    path.write_bytes(b"\xff not utf-8")
+    with pytest.raises(FixtureMissing, match=r"^unreadable fixture file \(.*\) for request key: "):
+        store.load(key)
+
+
 class _StubHandler(http.server.BaseHTTPRequestHandler):
     payload = b'{"message": {"items": []}}'
 
@@ -285,6 +302,77 @@ def test_live_retries_exactly_the_retryable_failures(status):
     transport = LiveTransport(session=Session(), sleep=lambda delay: None)
     failure = response_failure(transport.fetch(HttpRequest(source="arxiv", url="http://x/api")))
     assert len(attempts) == (3 if failure is not None and failure.retryable else 1)
+
+
+def test_live_transport_sends_through_a_swapped_in_requests(monkeypatch):
+    """The module-level name is where the benchmark's simulated sources go:
+    a stand-in set before the first LiveTransport carries every send, and its
+    RequestException becomes an io_error response."""
+    class StandInError(Exception):
+        pass
+
+    sent = []
+
+    class Session:
+        def get(self, url, **kwargs):
+            sent.append(url)
+            if url.endswith("/down"):
+                raise StandInError("simulated outage")
+            return SimpleNamespace(status_code=200, content=b"{}", headers={})
+
+    stand_in = SimpleNamespace(Session=Session, RequestException=StandInError)
+    monkeypatch.setattr(transport_module, "requests", stand_in)
+    live = LiveTransport(sleep=lambda delay: None)
+    assert transport_module.requests is stand_in
+    assert live.fetch(HttpRequest(source="crossref", url="http://x/works")).status == 200
+    down = live.fetch(HttpRequest(source="crossref", url="http://x/down"))
+    assert down.io_error == "StandInError: simulated outage"
+    assert sent == ["http://x/works"] + ["http://x/down"] * 3
+
+
+def _answers(*responses):
+    """A session that answers (status, headers) `responses` in turn; `attempts` counts them."""
+    answers = iter(responses)
+
+    def get(url, **kwargs):
+        session.attempts += 1
+        status, headers = next(answers)
+        return SimpleNamespace(status_code=status, content=b"{}", headers=headers)
+
+    session = SimpleNamespace(attempts=0, get=get)
+    return session
+
+
+@pytest.mark.parametrize("retry_after, status, sleeps", [("2", 200, [2.0]), ("3600", 429, [])])
+def test_live_honours_retry_after(retry_after, status, sleeps):
+    """A Retry-After of up to RETRY_AFTER_MAX_S seconds replaces the backoff;
+    a longer one ends the retries with that response."""
+    session = _answers((429, {"Retry-After": retry_after}), (200, {}))
+    slept = []
+    live = LiveTransport(session=session, sleep=slept.append)
+    response = live.fetch(HttpRequest(source="crossref", url="http://x/works"))
+    assert (response.status, slept, session.attempts) == (status, sleeps, len(sleeps) + 1)
+
+
+@pytest.mark.parametrize("retry_after", [None, "Wed, 21 Oct 2026 07:28:00 GMT", "-1", "1.5"])
+def test_live_backs_off_without_delta_seconds(retry_after):
+    """No Retry-After, or one that is not delta-seconds, keeps the jittered backoff."""
+    import random
+    headers = {} if retry_after is None else {"Retry-After": retry_after}
+    session = _answers((503, headers), (503, headers), (200, {}))
+    slept = []
+    live = LiveTransport(session=session, sleep=slept.append, rng=random.Random(3))
+    assert live.fetch(HttpRequest(source="crossref", url="http://x/works")).status == 200
+    rng = random.Random(3)
+    assert slept == [0.5 * rng.random(), 1.0 * rng.random()]
+
+
+def test_saved_fixture_keeps_only_content_type(tmp_path):
+    store = FixtureStore(tmp_path)
+    path = store.save("k", RawResponse(200, b"{}", (("content-type", "application/json"),
+                                                     ("retry-after", "2"))))
+    assert json.loads(path.read_text(encoding="utf-8"))["headers"] == {
+        "content-type": "application/json"}
 
 
 def test_live_session_per_thread_unless_passed_in():

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import corpus
+from citecheck.sources import transport
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -55,3 +56,15 @@ def replay_options(corpus_paths):
         return RunOptions(**defaults)
 
     return make
+
+
+@pytest.fixture()
+def fetches(monkeypatch) -> list[str]:
+    """The request key of every fetch a replay or record transport makes."""
+    seen = []
+    for cls in (transport.ReplayTransport, transport.RecordTransport):
+        def spy(self, request, fetch=cls.fetch):
+            seen.append(transport.request_key(request))
+            return fetch(self, request)
+        monkeypatch.setattr(cls, "fetch", spy)
+    return seen

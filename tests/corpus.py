@@ -1,74 +1,29 @@
 """Fixture corpus: reference specs, workspace writers, and recorded responses.
 
-Everything the offline suites replay is generated here, deterministically,
-using the package's own request builders, so a fixture key cannot
-drift from the key the pipeline computes at run time. Response payloads
-follow each source's real wire format (Crossref REST JSON, PubMed
-E-utilities JSON, arXiv Atom).
+`build_corpus` writes the fixture workspaces, then records the shared store:
+`verify_entries` runs over the ten bibliographies through `RecordTransport`,
+whose live transport sends to the simulated sources of `catalog.py`. The suites
+replay that store byte-exactly; the chimera and planner-comparison tests run
+live over the simulator. No test needs network access.
 """
 
 from __future__ import annotations
 
 import io
 import zipfile
-from dataclasses import dataclass
 from pathlib import Path
+from xml.sax.saxutils import escape as _xml_escape
 
+from catalog import CatalogSession, RefSpec
 from citecheck.extraction import extract_references
 from citecheck.extraction.models import ReferenceInput
-from citecheck.matching import source_pass_query
-from citecheck.sources import FixtureStore, SourceConfig, config_from_env
-from citecheck.sources.connectors import (arxiv_request, crossref_request,
-                                          pubmed_esearch_request,
-                                          pubmed_esummary_request)
+from citecheck.matching import source_pass_query, verify_entries
+from citecheck.sources import (FixtureStore, LiveTransport, RecordTransport,
+                               config_from_env)
 from citecheck.sources.models import DEFAULT_QUERY_LIMIT, Query
-from citecheck.sources.transport import HttpRequest, RawResponse, request_key
-
-import json
 
 
 CONFIG = config_from_env({}, sources=("pubmed", "crossref", "arxiv"))
-
-IO_ERROR_DETAIL = "ConnectionError: connection refused by stub"
-
-
-@dataclass(frozen=True)
-class RefSpec:
-    ident: str
-    title: str
-    authors: tuple[tuple[str, str], ...]  # (family, given)
-    year: int
-    venue: str | None = None
-    doi: str | None = None
-    pmid: str | None = None
-    arxiv: str | None = None
-    key: str | None = None
-    bibtype: str = "article"
-    volume: str | None = None
-    pages: str | None = None
-    cite_doi: bool = True  # write the DOI into the source file
-    cite_arxiv: bool = True  # write the arXiv id into the source file
-    # Each source's mode: match, empty, or a FAULTS key.
-    crossref_mode: str = "match"
-    pubmed_mode: str = "empty"
-    arxiv_mode: str = "empty"
-    crossref_type: str = "journal-article"
-    crossref_year_offset: int = 0
-    related_journal_doi: str | None = None  # asserted by the arXiv feed
-    # Per-(source, pass) overrides of the modes above, e.g. {("crossref", 3): "match"}.
-    modes_by_pass: tuple[tuple[tuple[str, int], str], ...] = ()
-    result_title: str | None = None  # source records carry this title when set
-
-    @property
-    def journal_year(self) -> int:
-        return self.year + self.crossref_year_offset
-
-    def mode_for(self, source: str, pass_number: int) -> str:
-        overrides = dict(self.modes_by_pass)
-        if (source, pass_number) in overrides:
-            return overrides[(source, pass_number)]
-        return {"crossref": self.crossref_mode, "pubmed": self.pubmed_mode,
-                "arxiv": self.arxiv_mode}[source]
 
 
 MAIN_BIB = [
@@ -214,18 +169,17 @@ DUPLICATES = [
             doi="10.5700/vldb.2021.030", key="varga2021checkpoint"),
 ]
 
-# Resolves only on the relaxed third pass, at moderate confidence: the
-# retrieved title overlaps 6 of 9 union tokens (Jaccard ~ 0.667), which with
-# matching author and exact year lands at ~0.758 (needs_review).
+# Resolves only on the relaxed third pass, at moderate confidence: Crossref's
+# record title holds the relaxed query's words but not the cited "of". It
+# overlaps 6 of 9 union tokens (Jaccard ~ 0.667), which with matching author
+# and exact year lands at ~0.758 (needs_review).
 MULTIPASS = [
     RefSpec("q1", "Adaptive routing of wavelength division optical networks",
             (("Feld", "N."),), 2017, bibtype="misc", key="feld2017adaptive",
             cite_doi=False,
-            crossref_mode="empty", pubmed_mode="empty", arxiv_mode="empty",
-            modes_by_pass=((("crossref", 3), "match"),),
             result_title="Adaptive routing in wavelength division multiplexed "
                          "optical networks",
-            doi="10.5800/net.2018.404", crossref_year_offset=0),
+            doi="10.5800/net.2018.404"),
 ]
 
 # Seven clean entries and three that no source knows: unresolved injection
@@ -255,6 +209,10 @@ FAILURES = [
 
 ALL_SPECS = (MAIN_BIB + MAIN_MD + MAIN_TXT + MAIN_DOCX + BIOMED
              + [MANIFESTATION] + DUPLICATES + MULTIPASS + MIXED + FAILURES)
+
+# Every work the simulated sources know: the cited ones, and the preprint-
+# linked journal article that no corpus folder cites.
+CATALOG = ALL_SPECS + [PUBLISHED_WITH_PREPRINT]
 
 
 # --------------------------------------------------------------------------
@@ -321,8 +279,7 @@ def write_markdown(path: Path, specs: list[RefSpec]) -> None:
 
 def write_txt(path: Path, specs: list[RefSpec], include_rejected: bool = True) -> None:
     lines = ["Field notes, not a manuscript.", "", "References", ""]
-    for i, spec in enumerate(specs, start=1):
-        lines.append(freetext_line(spec, i))
+    lines += [freetext_line(spec, i) for i, spec in enumerate(specs, start=1)]
     if include_rejected:
         lines.append(f"[{len(specs) + 1}] ———")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -355,14 +312,9 @@ def make_docx(paragraphs: list[str], split_runs: bool = False) -> bytes:
     return buffer.getvalue()
 
 
-def _xml_escape(text: str) -> str:
-    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
-
-
 def write_docx(path: Path, specs: list[RefSpec]) -> None:
     paragraphs = ["Quarterly progress report", "Summary of activities.", "References"]
-    for i, spec in enumerate(specs, start=1):
-        paragraphs.append(freetext_line(spec, i))
+    paragraphs += [freetext_line(spec, i) for i, spec in enumerate(specs, start=1)]
     path.write_bytes(make_docx(paragraphs))
 
 
@@ -392,144 +344,16 @@ def write_main_workspace(root: Path) -> None:
     (generated / "junk.bib").write_text("@misc{junk, title={Junk}}\n", encoding="utf-8")
 
 
-def write_biomed_workspace(root: Path) -> None:
-    root.mkdir(parents=True, exist_ok=True)
-    write_bib(root / "biomed.bib", BIOMED)
-
-
-def write_manifestation_workspace(root: Path) -> None:
-    root.mkdir(parents=True, exist_ok=True)
-    write_bib(root / "cited.bib", [MANIFESTATION])
-
-
-def write_duplicate_workspace(root: Path) -> None:
-    root.mkdir(parents=True, exist_ok=True)
-    write_bib(root / "dup.bib", DUPLICATES)
-
-
-def write_failure_workspace(root: Path) -> None:
-    root.mkdir(parents=True, exist_ok=True)
-    write_bib(root / "flaky.bib", FAILURES)
-
-
-def write_multipass_workspace(root: Path) -> None:
-    root.mkdir(parents=True, exist_ok=True)
-    write_bib(root / "obscure.bib", MULTIPASS)
-
-
-def write_mixed_workspace(root: Path) -> None:
-    root.mkdir(parents=True, exist_ok=True)
-    write_bib(root / "mixed.bib", MIXED)
-
-
-# --------------------------------------------------------------------------
-# Source payloads
-# --------------------------------------------------------------------------
-
-def crossref_work(spec: RefSpec) -> dict:
-    work = {
-        "DOI": spec.doi,
-        "title": [spec.result_title or spec.title],
-        "author": [{"family": f, "given": g} for f, g in spec.authors],
-        "issued": {"date-parts": [[spec.journal_year]]},
-        "type": spec.crossref_type,
-    }
-    if spec.venue:
-        work["container-title"] = [spec.venue]
-    return work
-
-
-def pubmed_name(family: str, given: str) -> str:
-    initials = "".join(chunk[0] for chunk in given.replace(".", " ").split() if chunk)
-    return f"{family} {initials}" if initials else family
-
-
-def pubmed_summary_record(spec: RefSpec) -> dict:
-    article_ids = [{"idtype": "pubmed", "value": spec.pmid}]
-    if spec.doi:
-        article_ids.append({"idtype": "doi", "value": spec.doi})
-    return {
-        "uid": spec.pmid,
-        "title": (spec.result_title or spec.title) + ".",
-        "authors": [{"name": pubmed_name(f, g), "authtype": "Author"}
-                    for f, g in spec.authors],
-        "pubdate": f"{spec.journal_year} Mar 14",
-        "fulljournalname": spec.venue or "",
-        "articleids": article_ids,
-    }
-
-
-def arxiv_feed(entries: list[RefSpec]) -> str:
-    blocks = []
-    for spec in entries:
-        authors = "".join(f"<author><name>{g} {f}</name></author>"
-                          for f, g in spec.authors)
-        doi_tag = (f"<arxiv:doi>{spec.related_journal_doi}</arxiv:doi>"
-                   if spec.related_journal_doi else "")
-        blocks.append(
-            f"<entry><id>http://arxiv.org/abs/{spec.arxiv}v1</id>"
-            f"<title>{spec.title}</title>{authors}"
-            f"<published>{spec.year}-05-02T00:00:00Z</published>{doi_tag}</entry>"
-        )
-    return ('<?xml version="1.0" encoding="UTF-8"?>'
-            '<feed xmlns="http://www.w3.org/2005/Atom" '
-            'xmlns:arxiv="http://arxiv.org/schemas/atom">'
-            + "".join(blocks) + "</feed>")
-
-
-# --------------------------------------------------------------------------
-# Fixture seeding
-# --------------------------------------------------------------------------
-
-def _json_response(payload: dict) -> RawResponse:
-    return RawResponse(status=200,
-                       body=json.dumps(payload).encode("utf-8"),
-                       headers=(("content-type", "application/json"),))
-
-
-# The answer each fault mode gives, at any source and to any request.
-FAULTS = {
-    "s401": RawResponse(status=401, body=b"{}"),
-    "s429": RawResponse(status=429, body=b""),
-    "truncated": RawResponse(status=200, body=b'{"message": {"items": [{'),
-    "io_error": RawResponse(status=None, body=b"", io_error=IO_ERROR_DETAIL),
+# The corpus folders that hold one bibliography each: (file name, specs).
+BIB_FOLDERS = {
+    "biomed": ("biomed.bib", BIOMED),
+    "manifestation": ("cited.bib", [MANIFESTATION]),
+    "duplicates": ("dup.bib", DUPLICATES),
+    "failures": ("flaky.bib", FAILURES),
+    "multipass": ("obscure.bib", MULTIPASS),
+    "mixed": ("mixed.bib", MIXED),
 }
-
-
-def _first_answers(source: str, query: Query, spec: RefSpec,
-                   config: SourceConfig) -> tuple[HttpRequest, RawResponse, RawResponse]:
-    """The first request `query` sends to `source`, with its match and empty answers."""
-    if source == "crossref":
-        request = crossref_request(query, config)
-        if query.kind == "doi_lookup":
-            return (request, _json_response({"message": crossref_work(spec)}),
-                    RawResponse(status=404, body=b"Resource not found."))
-        return (request, _json_response({"message": {"items": [crossref_work(spec)]}}),
-                _json_response({"message": {"items": []}}))
-    if source == "pubmed":
-        return (pubmed_esearch_request(query, config),
-                _json_response({"esearchresult": {"idlist": [spec.pmid]}}),
-                _json_response({"esearchresult": {"idlist": []}}))
-    return (arxiv_request(query, config),
-            RawResponse(status=200, body=arxiv_feed([spec]).encode("utf-8"),
-                        headers=(("content-type", "application/atom+xml"),)),
-            RawResponse(status=200, body=arxiv_feed([]).encode("utf-8")))
-
-
-def _seed(store: FixtureStore, source: str, query: Query, spec: RefSpec,
-          config: SourceConfig, mode: str) -> None:
-    """Record what `source` answers `query` in `mode`.
-
-    A PubMed lookup by PMID goes straight to esummary, which always
-    matches; any other PubMed query reaches esummary only on a match.
-    """
-    if source != "pubmed" or query.kind != "pmid_lookup":
-        request, match, empty = _first_answers(source, query, spec, config)
-        store.save(request_key(request), {"match": match, "empty": empty, **FAULTS}[mode])
-    if source == "pubmed" and (mode == "match" or query.kind == "pmid_lookup"):
-        store.save(request_key(pubmed_esummary_request([spec.pmid], config)), _json_response({
-            "result": {"uids": [spec.pmid], spec.pmid: pubmed_summary_record(spec)},
-        }))
+MAIN_BIBLIOGRAPHIES = ("references.bib", "notes.md", "field_notes.txt", "report.docx")
 
 
 def title_searching_pass_query(entry: ReferenceInput, pass_number: int, source: str,
@@ -542,64 +366,27 @@ def title_searching_pass_query(entry: ReferenceInput, pass_number: int, source: 
     return query
 
 
-def seed_fixtures_for_artifact(artifact: Path, specs: list[RefSpec],
-                               store: FixtureStore,
-                               config: SourceConfig = CONFIG,
-                               passes: tuple[int, ...] = (1,),
-                               plan=source_pass_query) -> None:
-    """Extract the artifact and record responses for the queries `plan`
-    (the package's planner by default) sends in `passes`.
+def live_over(session: CatalogSession) -> LiveTransport:
+    """citecheck's live transport sending to `session`, retrying without a pause."""
+    return LiveTransport(session=session, sleep=lambda seconds: None)
 
-    Entries pair with specs by document order; the extracted (normalized)
-    entry drives query construction so fixture keys always match the
-    pipeline's own requests.
-    """
-    extraction = extract_references(artifact)
-    entries = extraction.entries
-    if len(entries) != len(specs):
-        raise AssertionError(
-            f"{artifact}: extracted {len(entries)} entries for {len(specs)} specs")
-    for entry, spec in zip(entries, specs):
-        for pass_number in passes:
-            for source in config.enabled_sources:
-                query = plan(entry, pass_number, source)
-                if query is not None:
-                    _seed(store, source, query, spec, config,
-                          spec.mode_for(source, pass_number))
+
+def bibliographies(paths: dict[str, Path]) -> list[Path]:
+    """The ten bibliographies of a built corpus, whose runs its store records."""
+    return ([paths["main"] / name for name in MAIN_BIBLIOGRAPHIES]
+            + [paths[folder] / name for folder, (name, _) in BIB_FOLDERS.items()])
 
 
 def build_corpus(base: Path) -> dict[str, Path]:
     """Build every fixture workspace and the shared response store under `base`."""
-    paths = {
-        "main": base / "workspace",
-        "biomed": base / "biomed",
-        "manifestation": base / "manifestation",
-        "duplicates": base / "duplicates",
-        "failures": base / "failures",
-        "multipass": base / "multipass",
-        "mixed": base / "mixed",
-        "fixtures": base / "http_fixtures",
-    }
+    paths = {"main": base / "workspace", **{folder: base / folder for folder in BIB_FOLDERS},
+             "fixtures": base / "http_fixtures"}
     write_main_workspace(paths["main"])
-    write_biomed_workspace(paths["biomed"])
-    write_manifestation_workspace(paths["manifestation"])
-    write_duplicate_workspace(paths["duplicates"])
-    write_failure_workspace(paths["failures"])
-    write_multipass_workspace(paths["multipass"])
-    write_mixed_workspace(paths["mixed"])
-
-    store = FixtureStore(paths["fixtures"])
-    seed_fixtures_for_artifact(paths["main"] / "references.bib", MAIN_BIB, store)
-    seed_fixtures_for_artifact(paths["main"] / "notes.md", MAIN_MD, store)
-    seed_fixtures_for_artifact(paths["main"] / "field_notes.txt", MAIN_TXT, store)
-    seed_fixtures_for_artifact(paths["main"] / "report.docx", MAIN_DOCX, store)
-    seed_fixtures_for_artifact(paths["biomed"] / "biomed.bib", BIOMED, store)
-    seed_fixtures_for_artifact(paths["manifestation"] / "cited.bib", [MANIFESTATION], store)
-    seed_fixtures_for_artifact(paths["duplicates"] / "dup.bib", DUPLICATES, store)
-    seed_fixtures_for_artifact(paths["failures"] / "flaky.bib", FAILURES, store,
-                               passes=(1, 2, 3))
-    seed_fixtures_for_artifact(paths["multipass"] / "obscure.bib", MULTIPASS, store,
-                               passes=(1, 2, 3))
-    seed_fixtures_for_artifact(paths["mixed"] / "mixed.bib", MIXED, store,
-                               passes=(1, 2, 3))
+    for folder, (name, specs) in BIB_FOLDERS.items():
+        paths[folder].mkdir(parents=True, exist_ok=True)
+        write_bib(paths[folder] / name, specs)
+    record = RecordTransport(FixtureStore(paths["fixtures"]),
+                             live_over(CatalogSession(CATALOG)))
+    for bibliography in bibliographies(paths):
+        verify_entries(extract_references(bibliography).entries, record, CONFIG)
     return paths

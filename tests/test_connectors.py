@@ -12,6 +12,7 @@ import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import catalog
 import corpus
 from citecheck.errors import FixtureMissing
 from citecheck.extraction import extract_references
@@ -78,7 +79,7 @@ def test_classify_failure_mapping(status, body_state, io_error, expected, retrya
 
 def test_parse_crossref_doi_body():
     spec = corpus.MAIN_BIB[0]
-    body = json.dumps({"message": corpus.crossref_work(spec)}).encode()
+    body = json.dumps({"message": catalog.crossref_work(spec)}).encode()
     records = parse_crossref_body(body, "doi_lookup", "prov")
     assert len(records) == 1
     record = records[0]
@@ -91,7 +92,7 @@ def test_parse_crossref_doi_body():
 
 
 def test_parse_crossref_relation_becomes_related_id():
-    work = corpus.crossref_work(corpus.MAIN_BIB[0])
+    work = catalog.crossref_work(corpus.MAIN_BIB[0])
     work["type"] = "posted-content"
     work["relation"] = {"is-preprint-of": [{"id-type": "doi", "id": "10.9999/pub.1"}]}
     records = parse_crossref_body(json.dumps({"message": work}).encode(),
@@ -103,7 +104,7 @@ def test_parse_crossref_relation_becomes_related_id():
 def test_parse_pubmed_esummary():
     spec = corpus.BIOMED[0]
     body = json.dumps({"result": {"uids": [spec.pmid],
-                                  spec.pmid: corpus.pubmed_summary_record(spec)}}).encode()
+                                  spec.pmid: catalog.pubmed_summary_record(spec)}}).encode()
     records = parse_pubmed_esummary(body, "prov")
     assert len(records) == 1
     record = records[0]
@@ -116,7 +117,7 @@ def test_parse_pubmed_esummary():
 
 def test_parse_arxiv_feed_asserts_journal_doi_as_related():
     spec = corpus.MANIFESTATION
-    records = parse_arxiv_feed(corpus.arxiv_feed([spec]).encode(), "prov")
+    records = parse_arxiv_feed(catalog.arxiv_feed([spec]).encode(), "prov")
     assert len(records) == 1
     record = records[0]
     assert record.arxiv_id == spec.arxiv
@@ -199,7 +200,7 @@ def test_request_key_computed_once_per_fetched_request(corpus_paths, tmp_path, m
 def test_replay_returns_identical_bytes(tmp_path):
     store = FixtureStore(tmp_path)
     request = arxiv_request(Query(kind="arxiv_lookup", text="2101.00001"), CONFIG)
-    body = corpus.arxiv_feed([]).encode()
+    body = catalog.arxiv_feed([]).encode()
     store.save(request_key(request), RawResponse(status=200, body=body))
     transport = ReplayTransport(store)
     assert transport.fetch(request).body == body

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
+from catalog import CatalogSession
 from citecheck import matching
 from citecheck.extraction import extract_references
 from citecheck.manifestations import (PREFERENCE_RANK, group_manifestations,
@@ -141,15 +142,13 @@ def test_doi_cited_journal_with_preprint_keeps_its_verdict(tmp_path, monkeypatch
     spec = corpus.PUBLISHED_WITH_PREPRINT
     bib = tmp_path / "published.bib"
     corpus.write_bib(bib, [spec])
-    store = FixtureStore(tmp_path / "fixtures")
-    corpus.seed_fixtures_for_artifact(bib, [spec], store,
-                                      plan=corpus.title_searching_pass_query)
     entry = extract_references(bib).entries[0]
     assert (entry.doi, entry.arxiv_id) == (spec.doi, None)
 
-    verdict = verify_entry(entry, ReplayTransport(store), corpus.CONFIG)
+    sources = corpus.live_over(CatalogSession(corpus.CATALOG))
+    verdict = verify_entry(entry, sources, corpus.CONFIG)
     monkeypatch.setattr(matching, "source_pass_query", corpus.title_searching_pass_query)
-    before = verify_entry(entry, ReplayTransport(store), corpus.CONFIG)
+    before = verify_entry(entry, sources, corpus.CONFIG)
 
     found = {(r.source, r.manifestation_kind) for o in before.outcomes for r in o.records or ()}
     assert found == {("crossref", "journal"), ("arxiv", "preprint")}

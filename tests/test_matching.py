@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import corpus
+from catalog import CatalogSession
 from citecheck import matching, textnorm
 from citecheck.extraction import extract_references
 from citecheck.extraction.models import RawReference, ReferenceInput
@@ -23,8 +24,7 @@ from citecheck.matching import (cluster_join, dedupe_and_cluster, derive_issues,
 from citecheck.sources import (CandidateRecord, FixtureStore, ReplayTransport, Transport,
                                query_source, request_key, summarize_health, supports)
 from citecheck.sources.config import SourceConfig
-from citecheck.sources.connectors import arxiv_request
-from citecheck.sources.models import SOURCES, Query
+from citecheck.sources.models import SOURCES
 from citecheck.sources.transport import RawResponse
 from citecheck.textnorm import STOP_WORDS
 
@@ -556,8 +556,8 @@ def test_unservable_entry_is_not_checked(corpus_paths):
 # ---------------------------------------------------------------------------
 
 class _ShuffledTransport(Transport):
-    """Replays fixtures, finishing each request after a random delay of up to
-    a millisecond, so concurrent requests complete in shuffled order. Counts
+    """Sends each request through `inner` after a random delay of up to a
+    millisecond, so concurrent requests complete in shuffled order. Counts
     the requests it serves by request key."""
 
     def __init__(self, inner: Transport, seed: int = 0):
@@ -749,26 +749,28 @@ def test_doi_cited_bibliography_sends_arxiv_no_pass1_title_search(tmp_path, monk
     outside its evidence."""
     bib = tmp_path / "references.bib"
     corpus.write_bib(bib, corpus.MAIN_BIB)
-    store = FixtureStore(tmp_path / "fixtures")
-    corpus.seed_fixtures_for_artifact(bib, corpus.MAIN_BIB, store,
-                                      plan=corpus.title_searching_pass_query)
     entries = extract_references(bib).entries
-    skipped = {request_key(arxiv_request(Query(kind="title_search", text=e.title), CONFIG))
-               for e in entries if e.doi and not e.arxiv_id}
-    assert len(skipped) == 8
+    doi_cited = [e.title for e in entries if e.doi and not e.arxiv_id]
+    assert len(doi_cited) == 8
 
     def run(plan):
         monkeypatch.setattr(matching, "source_pass_query", plan)
-        spy = _ShuffledTransport(ReplayTransport(store))
-        verdicts = verify_entries(entries, spy, CONFIG)
+        session = CatalogSession(corpus.CATALOG)
+        verdicts = verify_entries(entries, _ShuffledTransport(corpus.live_over(session)),
+                                  CONFIG)
         health = summarize_health([o for v in verdicts for o in v.outcomes], CONFIG)
-        return spy.fetched, next(h.attempted for h in health if h.source == "arxiv"), verdicts
+        return (session.received, next(h.attempted for h in health if h.source == "arxiv"),
+                verdicts)
 
     sent_before, arxiv_before, verdicts_before = run(corpus.title_searching_pass_query)
     sent, arxiv_attempted, verdicts = run(source_pass_query)
-    assert sent_before - sent == Counter(dict.fromkeys(skipped, 1))
+    queries = {f'all:"{title}"' for title in doi_cited}
+    title_searches = [(source, path, params) for source, path, params in sent_before
+                      if source == "arxiv" and dict(params).get("search_query") in queries]
+    assert len(title_searches) == len(doi_cited)
+    assert sent_before - sent == Counter(dict.fromkeys(title_searches, 1))
     assert not sent - sent_before
-    assert arxiv_before - arxiv_attempted == len(skipped)
+    assert arxiv_before - arxiv_attempted == len(doi_cited)
     assert list(map(_outside_evidence, verdicts)) == list(map(_outside_evidence,
                                                                verdicts_before))
 
@@ -779,13 +781,11 @@ def test_entry_whose_doi_no_source_resolves_reaches_arxiv_in_pass_two(tmp_path):
     spec = corpus.RefSpec(
         "z1", "Tidal stream forecasting with physics informed neural operators",
         (("Haddad", "N."),), 2021, venue="Renewable Energy", doi="10.5999/re.2021.404",
-        arxiv="2107.01234", cite_arxiv=False, crossref_mode="empty",
-        modes_by_pass=((("arxiv", 2), "match"),))
+        arxiv="2107.01234", cite_arxiv=False, crossref_mode="empty", arxiv_mode="match")
     bib = tmp_path / "refs.bib"
     corpus.write_bib(bib, [spec])
-    store = FixtureStore(tmp_path / "fixtures")
-    corpus.seed_fixtures_for_artifact(bib, [spec], store, passes=(1, 2, 3))
-    verdict = verify_entry(extract_references(bib).entries[0], ReplayTransport(store), CONFIG)
+    verdict = verify_entry(extract_references(bib).entries[0],
+                           corpus.live_over(CatalogSession([spec])), CONFIG)
     assert [(n, digest["source"], query.kind) for n, query, digest in verdict.evidence] == [
         (1, "pubmed", "doi_lookup"), (1, "crossref", "doi_lookup"),
         (2, "pubmed", "title_author_search"), (2, "crossref", "title_author_search"),

@@ -297,18 +297,6 @@ def _replay_args(corpus_paths, folder: str, fixtures=None) -> dict:
             "fixtures_dir": str(fixtures or corpus_paths["fixtures"])}
 
 
-@pytest.fixture()
-def fetches(monkeypatch) -> list[str]:
-    """The request key of every fetch a replay or record transport makes."""
-    seen = []
-    for cls in (transport.ReplayTransport, transport.RecordTransport):
-        def spy(self, request, fetch=cls.fetch):
-            seen.append(transport.request_key(request))
-            return fetch(self, request)
-        monkeypatch.setattr(cls, "fetch", spy)
-    return seen
-
-
 def _carryable(run) -> set:
     return {(o.source, o.query) for v in run.verdicts for o in v.outcomes
             if o.failure is None or not o.failure.retryable}

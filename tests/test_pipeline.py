@@ -3,19 +3,16 @@
 from __future__ import annotations
 
 import json
-import time
-from types import SimpleNamespace
-from urllib.parse import urlsplit
 
 import pytest
 import requests
 
+import corpus
+from catalog import CatalogSession
 from citecheck import pipeline
-from citecheck.errors import FixtureMissing
 from citecheck.pipeline import RunOptions, render_output, report_json, run_repair
 from citecheck.rewrite import RENDER_FORMATS
-from citecheck.sources import FixtureStore, LiveTransport, config_from_env
-from citecheck.sources.transport import HttpRequest
+from citecheck.sources import config_from_env
 
 
 def _options(corpus_paths, path, **overrides) -> RunOptions:
@@ -70,41 +67,15 @@ def test_evidence_outcomes_hold_no_query_latency_or_count(corpus_paths):
         assert not {"query", "latency_ms", "record_count"} & set(outcome)
 
 
-class _SlowReplaySession:
-    """A requests.Session stand-in: the recorded answer to each request, after `delay_s`."""
-
-    SOURCE_BY_HOST = {"api.crossref.org": "crossref", "eutils.ncbi.nlm.nih.gov": "pubmed",
-                      "export.arxiv.org": "arxiv",
-                      "api.semanticscholar.org": "semantic_scholar"}
-
-    def __init__(self, store: FixtureStore, delay_s: float):
-        self.store, self.delay_s, self.calls = store, delay_s, 0
-
-    def get(self, url, params=None, headers=None, timeout=None):
-        self.calls += 1
-        time.sleep(self.delay_s)
-        key = HttpRequest(source=self.SOURCE_BY_HOST[urlsplit(url).hostname], url=url,
-                          params=tuple((params or {}).items())).key
-        try:
-            recorded = self.store.load(key)
-        except FixtureMissing:
-            return SimpleNamespace(status_code=404, content=b"", headers={})
-        if recorded.io_error is not None:
-            raise requests.ConnectionError(recorded.io_error)
-        return SimpleNamespace(status_code=recorded.status, content=recorded.body,
-                               headers=dict(recorded.headers))
-
-
 def test_live_reports_are_deterministic(corpus_paths, monkeypatch):
     """The same answers after different delays give byte-identical live reports."""
-    store = FixtureStore(corpus_paths["fixtures"])
     payloads = []
     for delay_s in (0.0, 0.004):
-        session = _SlowReplaySession(store, delay_s)
-        monkeypatch.setattr(pipeline, "make_transport", lambda mode, fixtures_dir: (
-            LiveTransport(session=session, sleep=lambda seconds: None)))
+        session = CatalogSession(corpus.CATALOG, delay_s)
+        monkeypatch.setattr(pipeline, "make_transport",
+                            lambda mode, fixtures_dir: corpus.live_over(session))
         run = run_repair(_options(corpus_paths, corpus_paths["main"], transport="live"))
-        assert session.calls and run.report["config"]["transport"] == "live"
+        assert session.received and run.report["config"]["transport"] == "live"
         assert any(entry["status"] == "verified" for entry in run.report["entries"])
         payloads.append(report_json(run.report))
     assert payloads[0] == payloads[1]
@@ -230,7 +201,6 @@ def test_combined_workspace_gate_interaction(corpus_paths, tmp_path):
     """All the blockers at once: duplicates, a manifestation conflict, hard
     failures, and recoverable entries in one bibliography. Every gate fires,
     every reason is reported, and nothing is written."""
-    import corpus
     combined = tmp_path / "combined"
     combined.mkdir()
     specs = (corpus.DUPLICATES + [corpus.MANIFESTATION] + corpus.FAILURES

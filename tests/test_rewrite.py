@@ -13,12 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpus
+from catalog import CatalogSession
 from citecheck.errors import BlockedByPolicy, StaleFile, UnsupportedFormat, WriteDenied
 from citecheck.extraction import extract_references, parse_bibtex
 from citecheck.extraction.latex import extract_bibitems
 from citecheck import textnorm
-from citecheck.matching import (TITLE_MISMATCH_THRESHOLD, source_pass_query,
-                                title_similarity, verify_entries)
+from citecheck.matching import TITLE_MISMATCH_THRESHOLD, title_similarity, verify_entries
 from citecheck.pipeline import run_repair
 from citecheck.policy import PRESETS, PolicyPreset, evaluate_policy, summarize_batch
 from citecheck.rewrite import (analyze_key_mapping, apply_rewrite, assign_citation_keys,
@@ -26,8 +26,7 @@ from citecheck.rewrite import (analyze_key_mapping, apply_rewrite, assign_citati
                                sidecar_path)
 from citecheck.rewrite.engine import _apply_patches, _unified_diff, file_digest
 from citecheck.rewrite.models import KeyMapping, Patch, RewritePlan
-from citecheck.sources import FixtureStore, ReplayTransport, Transport, request_key
-from citecheck.sources.transport import RawResponse
+from citecheck.sources import FixtureStore, ReplayTransport
 from test_matching import make_candidate, make_entry
 
 CONFIG = corpus.CONFIG
@@ -750,64 +749,17 @@ def test_preview_diff_keeps_final_closing_brace_as_context():
 # Chimeric citations: no patch turns one work's title into another's
 # ---------------------------------------------------------------------------
 
-# Every work of the test corpus that Crossref knows by its DOI, once per title.
-CATALOG = list({textnorm.match_key(spec.title): spec for spec in corpus.ALL_SPECS
-                + [corpus.PUBLISHED_WITH_PREPRINT]
-                if spec.doi and spec.crossref_mode == "match" and not spec.modes_by_pass
-                and not spec.result_title}.values())
-CATALOG_TITLES = {textnorm.match_key(spec.title) for spec in CATALOG}
+# The works a chimera is put together from: those Crossref knows by their DOI,
+# under their own title.
+WORKS = [spec for spec in corpus.CATALOG
+         if spec.doi and spec.crossref_mode == "match" and not spec.result_title]
+# Every title the simulated sources answer with.
+CATALOG_TITLES = {textnorm.match_key(spec.record_title) for spec in corpus.CATALOG}
 
 # Replacement patches for every eligible entry, needs_review included.
 OPEN_PRESET = PolicyPreset("open", max_unresolved_ratio=1.0, max_not_checked_ratio=1.0,
                            min_verified_ratio=0.0, fail_on_auth_failure=False,
                            allow_replacement_with_needs_review=True)
-
-
-def _catalog_work(kind: str, text: str):
-    """The work a catalog source answers with: the DOI's owner for a lookup;
-    for a search, the work most of whose title words the query holds."""
-    if kind == "doi_lookup":
-        return next((spec for spec in CATALOG if spec.doi == text), None)
-    if kind.endswith("_lookup"):
-        return None
-    words = set(textnorm.content_words(text))
-
-    def share(spec):
-        title = textnorm.content_words(spec.title)
-        return sum(w in words for w in title) / len(title)
-
-    best = max(CATALOG, key=share)
-    return best if share(best) >= 0.5 else None
-
-
-# The identifier a source needs to know a work; Crossref knows every one.
-_KNOWN_BY = {"crossref": "doi", "pubmed": "pmid", "arxiv": "arxiv"}
-
-
-class _CatalogTransport(Transport):
-    """Crossref, PubMed and arXiv answering from CATALOG: every query the
-    planner sends for `entries` in any pass is recorded up front."""
-
-    waits = False
-
-    def __init__(self, entries):
-        self.answers: dict[str, RawResponse] = {}
-        for entry in entries:
-            for pass_number in (1, 2, 3):
-                for source in CONFIG.enabled_sources:
-                    query = source_pass_query(entry, pass_number, source)
-                    if query is None:
-                        continue
-                    work = _catalog_work(query.kind, query.text)
-                    known = work is not None and getattr(work, _KNOWN_BY[source])
-                    corpus._seed(self, source, query, work or CATALOG[0], CONFIG,
-                                 "match" if known else "empty")
-
-    def save(self, key: str, response: RawResponse) -> None:
-        self.answers[key] = response
-
-    def fetch(self, request):
-        return self.answers.get(request_key(request), RawResponse(status=404, body=b""))
 
 
 def _splice(a: str, b: str) -> str:
@@ -821,7 +773,7 @@ def _chimeras(draw):
     """A citation put together from up to four catalog works: the title (or
     a splice of two titles), the DOI (or none), the authors, and the year
     and venue, each from any of them."""
-    works = st.sampled_from(CATALOG)
+    works = st.sampled_from(WORKS)
     title_work, other, author_work, year_work = (draw(works) for _ in range(4))
     doi_work = draw(st.none() | works)
     title = draw(st.sampled_from((title_work.title, _splice(title_work.title, other.title))))
@@ -831,14 +783,14 @@ def _chimeras(draw):
 
 def _replacement_run(specs):
     """The entries of a bibliography of `specs` before and after a
-    replacement run against CATALOG that patches every eligible entry."""
+    replacement run over the simulated sources that patches every eligible entry."""
     specs = [dataclasses.replace(spec, key=f"chimera{i}") for i, spec in enumerate(specs)]
     with tempfile.TemporaryDirectory() as tmp:
         bib = Path(tmp) / "refs.bib"
         corpus.write_bib(bib, specs)
         extraction = extract_references(bib)
-        verdicts = verify_entries(extraction.entries, _CatalogTransport(extraction.entries),
-                                  CONFIG)
+        sources = corpus.live_over(CatalogSession(corpus.CATALOG, share=0.5))
+        verdicts = verify_entries(extraction.entries, sources, CONFIG)
         decision = evaluate_policy(summarize_batch(verdicts, extraction.lint), OPEN_PRESET)
         plan = plan_rewrite(bib, extraction, verdicts, "replacement", decision,
                             workspace_root=tmp)
@@ -869,7 +821,7 @@ def test_no_replacement_sets_a_title_to_another_works_title(chimeras):
         key = textnorm.match_key(new.title)
         if key == textnorm.match_key(old.title) or key not in CATALOG_TITLES:
             continue
-        doi_work = next((spec for spec in CATALOG if spec.doi == old.doi), None)
+        doi_work = next((spec for spec in WORKS if spec.doi == old.doi), None)
         assert doi_work is not None, (old.title, new.title)
         assert key == textnorm.match_key(doi_work.title), (old.title, new.title)
         assert title_similarity(old.title, doi_work.title) >= TITLE_MISMATCH_THRESHOLD

@@ -66,14 +66,6 @@ def lint_bibliography(entries: Iterable[ReferenceInput]) -> list[LintFinding]:
                 message=f"year {entry.year} outside {YEAR_MIN}-{YEAR_MAX}",
                 severity="warning",
             ))
-        visible = {k: v for k, v in entry.fields.items() if not k.startswith("_")}
-        if not visible or all(not v.strip() for v in visible.values()):
-            findings.append(LintFinding(
-                code="empty_entry",
-                entry_ordinal=entry.ordinal,
-                message="entry carries no usable fields",
-                severity="warning",
-            ))
         if _CONTROL_RE.search(entry.raw.original_text):
             findings.append(LintFinding(
                 code="control_chars",

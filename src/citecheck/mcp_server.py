@@ -6,13 +6,15 @@ arrival order: write-back tools must never race, and MCP clients
 tolerate sequential servers. Tool failures become structured error
 payloads; the loop itself never dies on a bad request.
 
-A pipeline call starts from the previous pipeline call's source outcomes
-when both ran on the same transport mode and fixtures directory, so a
-repair right after an analyze fetches nothing again. Only outcomes that a
-retry would not change are carried: a missing fixture, a timeout or a 429
-is asked again. Reports do not change under carry, live ones included, as no
-report holds a timing. Only the previous call's outcomes are kept, so memory
-stays that of one call.
+A pipeline call starts from the source outcomes that the session's earlier
+pipeline calls settled on the same transport mode and fixtures directory,
+so a repair right after an analyze, or a reference that comes back in
+another folder, fetches nothing again. Only outcomes that a retry would not
+change are kept: a missing fixture, a timeout or a 429 is asked again.
+Reports do not change under carry, live ones included, as no report holds a
+timing. The memo holds at most CARRY_MAX_OUTCOMES outcomes: each call moves
+its own to the newest end, and the oldest beyond the cap are dropped. A call
+on another transport mode or fixtures directory starts the memo over.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import sys
 import traceback
 from dataclasses import MISSING
+from itertools import islice
 from typing import Any, TextIO
 
 from . import __version__
@@ -33,6 +36,11 @@ PROTOCOL_VERSION = "2024-11-05"
 _TOOL_COMMANDS = {tool: command for command, (tool, _) in COMMANDS.items()}
 
 _JSON_TYPES = {str: "string", int: "integer", bool: "boolean", tuple: "array"}
+
+# Outcomes the session memo keeps. An outcome held only by the memo takes
+# 0.8-1.1 KB (tracemalloc over the benchmark's mcp-session and bulk-repair
+# inputs), so a full memo is about 20 MB; an mcp-session round settles 5,124.
+CARRY_MAX_OUTCOMES = 20_000
 
 
 def _input_schema(command: str) -> dict:
@@ -62,8 +70,8 @@ class McpServer:
     def __init__(self, stdin: TextIO | None = None, stdout: TextIO | None = None):
         self.stdin = stdin if stdin is not None else sys.stdin
         self.stdout = stdout if stdout is not None else sys.stdout
-        # The previous pipeline call's outcomes that a retry would not change,
-        # under that call's (transport mode, fixtures dir): at most one entry.
+        # Settled outcomes of the session's pipeline calls, oldest first, under
+        # the latest call's (transport mode, fixtures dir): at most one entry.
         self.known: dict[tuple[str, str | None], dict[tuple[str, Query], QueryOutcome]] = {}
 
     def call_tool(self, name: str, args: dict) -> tuple[str, bool]:
@@ -76,9 +84,19 @@ class McpServer:
             return run_command(command, options)[0], False
         config = options.source_config()
         key = (config.transport_mode, config.fixtures_dir)
-        payload, run = run_command(command, options, known=self.known.get(key, {}))
-        self.known = {key: {(o.source, o.query): o for v in run.verdicts for o in v.outcomes
-                            if o.failure is None or not o.failure.retryable}}
+        known = self.known.get(key, {})
+        payload, run = run_command(command, options, known=known)
+        settled = {(o.source, o.query): o for v in run.verdicts for o in v.outcomes
+                   if o.failure is None or not o.failure.retryable}
+        # This call's outcomes go to the newest end and the oldest beyond the cap
+        # go, in a copy: a dict copy does not rehash its keys, a rebuild does.
+        memo = known.copy()
+        for job in settled:
+            memo.pop(job, None)
+        memo.update(settled)
+        for job in list(islice(memo, max(0, len(memo) - CARRY_MAX_OUTCOMES))):
+            del memo[job]
+        self.known = {key: memo}
         # A write that policy refused is an error payload, but the report still
         # travels with it so callers see the full diagnostics.
         return payload, run.apply_error is not None

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import io
+import re
 import zipfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import corpus
@@ -509,6 +510,63 @@ def test_findings_ordered_by_ordinal_then_code():
     findings = lint_bibliography(entries)
     assert [(f.entry_ordinal, f.code) for f in findings] == sorted(
         (f.entry_ordinal, f.code) for f in findings)
+
+
+# Accepted entries in every input format: values that normalize to nothing,
+# whitespace and braces, internal field names, identifiers in odd fields.
+_ODD_VALUE = st.one_of(
+    st.sampled_from(["", " ", "{}", "{ }", ".", "\u3000", "\u200b", "\u2014", "Doe, J.",
+                     "A Title", "2020", "10.1000/xyz", "doi:10./bad", "arXiv:2101.00001",
+                     "12345678", "https://arxiv.org/abs/2101.00001v2"]),
+    st.text(st.characters(codec="utf-8", exclude_characters="{}\\@"), max_size=12))
+_BIB_FIELD = st.sampled_from(["title", "Title", "doi", "pmid", "eprint", "arxiv", "url",
+                              "note", "howpublished", "author", "year", "journal", "_x"])
+_BIB_ENTRY = st.builds(
+    lambda kind, key, fields: "@%s{%s,\n%s}\n" % (kind, key, ",\n".join(
+        f"  {name} = {{{value}}}" for name, value in fields)),
+    st.sampled_from(["article", "inproceedings", "book", "misc"]),
+    st.sampled_from(["k", "k2", ""]),
+    st.lists(st.tuples(_BIB_FIELD, _ODD_VALUE), max_size=4))
+_FREE_LINE = st.one_of(
+    st.sampled_from(["Doe, J. (2020). A title. Venue.", "doi:10.1000/xyz", "PMID: 12345678",
+                     "arXiv:2101.00001", "\u2014\u2014\u2014", "...", "   ", "(2020).",
+                     "Doe, J.", ""]),
+    _ODD_VALUE)
+_FREE_ENTRIES = st.lists(st.tuples(st.sampled_from(["[{}] ", "{}. ", "({}) ", ""]), _FREE_LINE),
+                         max_size=5).map(
+    lambda items: [marker.format(i) + line for i, (marker, line) in enumerate(items, 1)])
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["bib", "tex", "md", "txt", "docx"]), st.lists(_BIB_ENTRY, max_size=4),
+       _FREE_ENTRIES, st.booleans())
+def test_every_accepted_entry_carries_a_visible_value(tmp_path, ext, bib, lines, tex_names_bib):
+    """normalize_reference rejects an entry with no title and no identifier,
+    and the value it accepts on stays among the entry's visible fields; so
+    the only empty_entry findings are extract_references' own, one per reject."""
+    path = tmp_path / f"refs.{ext}"
+    section = "\n".join(["References", *lines]) + "\n"
+    if ext == "bib":
+        path.write_text("".join(bib), encoding="utf-8")
+    elif ext == "tex" and tex_names_bib:
+        (tmp_path / "refs.bib").write_text("".join(bib), encoding="utf-8")
+        path.write_text("\\bibliography{refs}\n", encoding="utf-8")
+    elif ext == "tex":
+        items = "".join(f"\\bibitem{{b{i}}} {line}\n" for i, line in enumerate(lines))
+        path.write_text(f"\\begin{{thebibliography}}{{9}}\n{items}"
+                        "\\end{thebibliography}\n" if items else section, encoding="utf-8")
+    elif ext == "docx":
+        # XML 1.0 has no way to write most control characters.
+        path.write_bytes(corpus.make_docx(re.sub(
+            r"[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]", "", section).splitlines()))
+    else:
+        path.write_text(section, encoding="utf-8")
+    result = extract_references(path)
+    for entry in result.entries:
+        assert any(v.strip() for k, v in entry.fields.items() if not k.startswith("_"))
+    assert sorted(f.entry_ordinal for f in result.lint if f.code == "empty_entry") == sorted(
+        r.raw.ordinal for r in result.rejected)
 
 
 def test_docx_corrupt_archive():

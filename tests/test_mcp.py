@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from citecheck import __version__
+from citecheck import __version__, mcp_server
 from citecheck.cli import build_parser
 from citecheck.mcp_server import McpServer, tool_descriptors
 from citecheck.pipeline import COMMANDS, RunOptions, front_end_options, run_repair
@@ -291,7 +291,7 @@ def test_unicode_line_breaks_stay_inside_their_message():
     assert len(responses) == 1 and name in responses[0]["error"]["message"]
 
 
-# Carry-over: a pipeline call starts from the previous call's outcomes.
+# Carry-over: a pipeline call starts from the session's settled outcomes.
 def _replay_args(corpus_paths, folder: str, fixtures=None) -> dict:
     return {"path": str(corpus_paths[folder]), "transport": "replay",
             "fixtures_dir": str(fixtures or corpus_paths["fixtures"])}
@@ -360,17 +360,61 @@ def test_other_store_or_transport_reads_everything_again(corpus_paths, tmp_path,
     assert payload == McpServer().call_tool("analyze_references", second_args)[0]
 
 
-def test_table_holds_only_the_previous_call(corpus_paths):
+def test_a_folder_seen_earlier_in_the_session_fetches_nothing(corpus_paths, fetches):
     server = McpServer()
     main, biomed = (_replay_args(corpus_paths, folder) for folder in ("main", "biomed"))
-    server.call_tool("analyze_references", main)
-    server.call_tool("repair_paper", biomed)
+    first, _ = server.call_tool("analyze_references", main)
+    server.call_tool("analyze_references", biomed)
+    fetches.clear()
+    third, _ = server.call_tool("analyze_references", main)
+    assert fetches == []
+    assert third == first == McpServer().call_tool("analyze_references", main)[0]
+
+
+def test_memo_keeps_the_newest_outcomes_up_to_its_cap(corpus_paths, fetches, monkeypatch):
+    main, biomed = (_replay_args(corpus_paths, folder) for folder in ("main", "biomed"))
     from_main, from_biomed = (_carryable(run_repair(RunOptions.from_arguments(args)))
                               for args in (main, biomed))
-    assert from_main - from_biomed
-    [(key, table)] = server.known.items()
-    assert key == ("replay", str(corpus_paths["fixtures"]))
-    assert set(table) == from_biomed
+    cap = max(len(from_main), len(from_biomed))
+    assert cap < len(from_main | from_biomed)
+    monkeypatch.setattr(mcp_server, "CARRY_MAX_OUTCOMES", cap)
+    server = McpServer()
+    tables = []
+    for args, settled in ((main, from_main), (biomed, from_biomed), (main, from_main)):
+        fetches.clear()
+        payload, _ = server.call_tool("analyze_references", args)
+        fetched = len(fetches)
+        assert payload == McpServer().call_tool("analyze_references", args)[0]
+        [(key, table)] = server.known.items()
+        assert key == ("replay", str(corpus_paths["fixtures"]))
+        assert len(table) <= cap and settled <= set(table)
+        tables.append((set(table), fetched))
+    # Biomed's outcomes pushed out main's oldest; main's call fetched those again.
+    (_, fresh), (after_biomed, _), (_, refetched) = tables
+    assert from_main - after_biomed and 0 < refetched < fresh
+
+
+def test_a_crashing_tool_leaves_the_session_and_its_memo_as_they_were(
+        corpus_paths, monkeypatch, capsys):
+    args = _replay_args(corpus_paths, "main")
+    requests = [_call("analyze_references", args, 2), _call("citecheck_version", {}, 3)]
+    server = McpServer(stdin=io.StringIO("".join(json.dumps(r) + "\n" for r in requests)),
+                       stdout=io.StringIO())
+    server.call_tool("analyze_references", args)
+    before = {key: list(table.items()) for key, table in server.known.items()}
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom in the pipeline")
+
+    monkeypatch.setattr(mcp_server, "run_command", crash)
+    server.serve()
+    failed, version = (json.loads(line) for line in server.stdout.getvalue().splitlines())
+    assert failed["result"]["isError"] is True
+    assert json.loads(failed["result"]["content"][0]["text"]) == {
+        "error": {"type": "RuntimeError", "message": "boom in the pipeline"}}
+    assert "boom in the pipeline" in capsys.readouterr().err
+    assert version["id"] == 3 and version["result"]["isError"] is False
+    assert {key: list(table.items()) for key, table in server.known.items()} == before
 
 
 def test_source_health_equal_with_and_without_carry(corpus_paths, fetches):

@@ -11,19 +11,25 @@ to at least 0.95; a shared identifier that *differs* caps it at 0.5 no
 matter how good the text looks. Verification runs up to three passes and
 only escalates while the best confidence stays below 0.6.
 
-A batch is verified pass by pass. Source queries wait on the network in
-one lane per source, a thread pool holding `workers` queries in flight,
-so a slow source never takes a fast one's threads; under replay, which
-waits on nothing, they run inline on the calling thread. Normalizing and
-scoring run on the calling thread, and each (entry, record) pair is
-scored once.
+Each entry moves through its passes as its own answers arrive, never
+waiting on another entry's. arXiv, the slowest source and the one with the
+tightest rate, is asked last in pass 1: its title search goes out only
+once the entry's other pass-1 answers are in, and only when they leave the
+entry short of verified or the entry points at arXiv itself. Source
+queries wait on the network in one lane per source, a thread pool holding
+`workers` queries in flight, so a slow source never takes a fast one's
+threads; under replay, which waits on nothing, they run inline on the
+calling thread. Scheduling, normalizing and scoring run on the calling
+thread, and each (entry, record) pair is scored once.
 """
 
 from __future__ import annotations
 
 import itertools
+import queue
 import re
-from collections.abc import Callable, Mapping, Sequence
+from collections import deque
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -279,10 +285,12 @@ def source_pass_query(entry: ReferenceInput, pass_number: int, source: str,
     title search for an entry that cites a DOI, which Crossref and PubMed
     look up, unless the DOI is arXiv's own (`10.48550/`), which only arXiv
     answers. The exception stays that narrow: the other sources' title
-    searches find the published version of an arXiv-cited preprint. Pass 2
-    narrows by first-author family name and year; pass 3 relaxes to the
-    leading content words, and a title with none gets no pass-3 query. A
-    title-less entry repeats its pass-1 query.
+    searches find the published version of an arXiv-cited preprint.
+    `verify_entries` sends arXiv's pass-1 title search last, and only when
+    `asks_arxiv_title_search` says so. Pass 2 narrows by first-author
+    family name and year; pass 3 relaxes to the leading content words, and
+    a title with none gets no pass-3 query. A title-less entry repeats its
+    pass-1 query.
     """
     if pass_number not in (1, 2, 3):
         raise ValueError(f"pass must be 1..3, got {pass_number}")
@@ -304,6 +312,19 @@ def source_pass_query(entry: ReferenceInput, pass_number: int, source: str,
         query = (Query(kind="relaxed_search", text=relaxed, year=entry.year, limit=limit)
                  if relaxed else None)
     return query if query is not None and supports(source, query.kind) else None
+
+
+def asks_arxiv_title_search(entry: ReferenceInput, best: float) -> bool:
+    """Whether arXiv gets the entry's pass-1 title search, decided once the
+    entry's other pass-1 answers are in and `best` is their best confidence.
+
+    It is sent while those answers leave the entry short of verified, and
+    whatever they say when the entry points at arXiv itself: a preprint, a
+    venue that names arXiv, or arXiv's own DOI, whose record only arXiv holds.
+    """
+    return (best < VERIFIED_THRESHOLD or entry.entry_kind == "preprint"
+            or "arxiv" in (entry.venue or "").casefold()
+            or (entry.doi or "").startswith(ARXIV_DOI_PREFIX))
 
 
 # --------------------------------------------------------------------------
@@ -445,16 +466,23 @@ def _status_for(confidence: float, issues: list[Issue], has_candidates: bool) ->
     return "unresolved"
 
 
+_Job = tuple[str, Query]  # (source, query): one source query, asked once per batch
+
+
 @dataclass
 class _Retrieval:
-    """One entry's passes so far: its steps in pass/source order, and the
-    first record seen per `CandidateRecord.key` with its score."""
+    """One entry's passes so far: its steps, and the first record seen per
+    `CandidateRecord.key` with its score; the wave of jobs it asked last, and
+    how many of them a lane has yet to answer."""
 
     entry: ReferenceInput
     steps: list[tuple[int, QueryOutcome]] = field(default_factory=list)
     records: dict[str, CandidateRecord] = field(default_factory=dict)
     scores: dict[str, MatchScore] = field(default_factory=dict)
     passes_used: int = 0
+    plan: Iterator[tuple[int, list[_Job]]] | None = None  # the entry's `waves`
+    wave: tuple[int, Sequence[_Job]] | None = (0, ())
+    unanswered: int = 0
 
     def add(self, pass_number: int, outcome: QueryOutcome, keys: TextKeys) -> None:
         self.steps.append((pass_number, outcome))
@@ -466,6 +494,25 @@ class _Retrieval:
 
     def best(self) -> float:
         return max((s.confidence for s in self.scores.values()), default=0.0)
+
+    def waves(self, enabled: list[str], limit: int) -> Iterator[tuple[int, list[_Job]]]:
+        """The entry's queries as waves of (pass, jobs), each taken once the
+        outcomes of the one before are in. Pass 1 asks arXiv's title search
+        in a wave of its own, after the rest of the pass, and only when
+        `asks_arxiv_title_search` says so. The entry moves on to the next
+        pass only while its best confidence stays below WEAK_THRESHOLD."""
+        for pass_number in (1, 2, 3):
+            self.passes_used = pass_number
+            jobs = [(source, query) for source in enabled
+                    if (query := source_pass_query(self.entry, pass_number, source,
+                                                   limit=limit)) is not None]
+            last = [job for job in jobs if pass_number == 1 and job[0] == "arxiv"
+                    and job[1].kind == "title_search"]
+            yield pass_number, [job for job in jobs if job not in last]
+            if last and asks_arxiv_title_search(self.entry, self.best()):
+                yield pass_number, last
+            if self.best() >= WEAK_THRESHOLD:
+                return
 
 
 def _verdict(state: _Retrieval, any_enabled: bool) -> EntryVerdict:
@@ -496,7 +543,9 @@ def _verdict(state: _Retrieval, any_enabled: bool) -> EntryVerdict:
         status = _status_for(confidence, issues, chosen is not None)
     return EntryVerdict(
         entry=entry, status=status, confidence=confidence, issues=tuple(issues),
-        chosen=chosen, steps=tuple(state.steps), passes_used=max(state.passes_used, 1),
+        chosen=chosen, passes_used=max(state.passes_used, 1),
+        steps=tuple(sorted(state.steps, key=lambda step: (step[0],
+                                                           SOURCES.index(step[1].source)))),
     )
 
 
@@ -512,16 +561,19 @@ def verify_entries(entries: list[ReferenceInput], transport: Transport,
                    workers: int = DEFAULT_WORKERS,
                    known: Mapping[tuple[str, Query], QueryOutcome] | None = None,
                    ) -> list[EntryVerdict]:
-    """Verify a batch pass by pass; output order matches input.
+    """Verify a batch; output order matches input.
 
-    Each pass asks every enabled source the query each still-open entry
-    puts to it, runs each distinct (source, query) once per batch, and
-    hands each entry its outcomes in pass/source order. A transport that
-    `waits` gets one lane per source, named `citecheck-<source>`, with up
-    to `workers` of that source's queries in flight; one that does not
-    (replay) is asked inline, on the calling thread. Scoring runs on the
-    calling thread, once per (entry, record) pair. An entry moves on to the
-    next pass only while its best confidence stays below WEAK_THRESHOLD.
+    Each entry takes its waves of queries (`_Retrieval.waves`) as its own
+    outcomes arrive: it moves on as soon as its last wave is answered, not
+    when the slowest query of the batch is. Each distinct (source, query)
+    runs once per batch, and an entry waiting on one that is in flight
+    waits for that answer. A transport that `waits` gets one lane per
+    source, named `citecheck-<source>`, with up to `workers` of that
+    source's queries in flight; one that does not (replay) is asked inline,
+    on the calling thread. Scheduling and scoring run on the calling thread,
+    scoring once per (entry, record) pair, and each verdict holds its steps
+    in pass/source order. A query that raises ends the batch with its error,
+    and queries still queued in a lane are dropped.
 
     `known` holds outcomes this transport already gave, such as an earlier
     run's: a (source, query) found there is taken from it and not fetched.
@@ -531,33 +583,65 @@ def verify_entries(entries: list[ReferenceInput], transport: Transport,
     enabled = [s for s in SOURCES if config.is_enabled(s)]
     keys = TextKeys()
     states = [_Retrieval(entry) for entry in entries]
-    fetched: dict[tuple[str, Query], QueryOutcome] = {}
     known = known or {}
-    open_states = states if enabled else []
-    with ExitStack() as stack:
-        # A pool starts its threads on first use, so an idle lane costs none.
-        lanes = {source: stack.enter_context(ThreadPoolExecutor(
-                     workers, thread_name_prefix=f"citecheck-{source}"))
-                 for source in enabled} if transport.waits else {}
-        for pass_number in (1, 2, 3):
-            asked: list[tuple[_Retrieval, str, Query]] = []
-            for state in open_states:
-                state.passes_used = pass_number
-                for source in enabled:
-                    query = source_pass_query(state.entry, pass_number, source, limit=limit)
-                    if query is not None:
-                        asked.append((state, source, query))
-            jobs = dict.fromkeys((source, query) for _, source, query in asked
-                                 if (source, query) not in fetched)
-            fetched.update((job, known[job]) for job in jobs if job in known)
-            todo = [job for job in jobs if job not in fetched]
-            if lanes:
-                answers = [lanes[source].submit(query_source, source, query, transport, config)
-                           for source, query in todo]
-                fetched.update(zip(todo, (answer.result() for answer in answers)))
+    fetched: dict[_Job, QueryOutcome] = {}
+    waiting: dict[_Job, list[_Retrieval]] = {}  # lane jobs not yet answered -> their askers
+    answered: queue.SimpleQueue = queue.SimpleQueue()  # (job, future) as lanes finish
+    lanes: dict[str, ThreadPoolExecutor] = {}
+
+    def ask(job: _Job, state: _Retrieval) -> bool:
+        """Whether `job` is answered now, from `known` or inline. Otherwise
+        `state` waits for it in its lane, where it is sent once."""
+        if job not in fetched:
+            if job in known:
+                fetched[job] = known[job]
+            elif not lanes:
+                fetched[job] = query_source(*job, transport, config)
             else:
-                fetched.update((job, query_source(*job, transport, config)) for job in todo)
-            for state, source, query in asked:
-                state.add(pass_number, fetched[source, query], keys)
-            open_states = [s for s in open_states if s.best() < WEAK_THRESHOLD]
+                if job not in waiting:
+                    waiting[job] = []
+                    future = lanes[job[0]].submit(query_source, *job, transport, config)
+                    future.add_done_callback(lambda future, job=job: answered.put((job, future)))
+                waiting[job].append(state)
+                return False
+        return True
+
+    def step(state: _Retrieval) -> bool:
+        """Give the entry its answered wave's outcomes and ask its next wave;
+        whether that one is answered already. False also when its passes end."""
+        pass_number, jobs = state.wave
+        for job in jobs:
+            state.add(pass_number, fetched[job], keys)
+        state.wave = next(state.plan, None)
+        if state.wave is None:
+            return False
+        state.unanswered = sum(not ask(job, state) for job in state.wave[1])
+        return not state.unanswered
+
+    with ExitStack() as stack:
+        if transport.waits:
+            for source in enabled:
+                # A pool starts its threads on first use, so an idle lane costs none.
+                lanes[source] = ThreadPoolExecutor(workers,
+                                                   thread_name_prefix=f"citecheck-{source}")
+                stack.callback(lanes[source].shutdown, cancel_futures=True)
+        # The entries whose last wave is answered. Each takes one wave per turn,
+        # so under replay the batch moves wave by wave, which keeps each
+        # source's answers together: running each entry to its end cost bulk
+        # verification ~15 % more time.
+        ready = deque(states if enabled else ())
+        for state in ready:
+            state.plan = state.waves(enabled, limit)
+        while ready or waiting:
+            if ready:
+                state = ready.popleft()
+                if step(state):
+                    ready.append(state)
+                continue
+            job, future = answered.get()
+            fetched[job] = future.result()
+            for state in waiting.pop(job):
+                state.unanswered -= 1
+                if not state.unanswered:
+                    ready.append(state)
     return [_verdict(state, bool(enabled)) for state in states]

@@ -14,7 +14,8 @@ change are kept: a missing fixture, a timeout or a 429 is asked again.
 Reports do not change under carry, live ones included, as no report holds a
 timing. The memo holds at most CARRY_MAX_OUTCOMES outcomes: each call moves
 its own to the newest end, and the oldest beyond the cap are dropped. A call
-on another transport mode or fixtures directory starts the memo over.
+on another transport mode or fixtures directory starts the memo over; one
+directory spelled two ways, such as relative and absolute, is the same one.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import sys
 import traceback
 from dataclasses import MISSING
 from itertools import islice
+from pathlib import Path
 from typing import Any, TextIO
 
 from . import __version__
@@ -71,7 +73,8 @@ class McpServer:
         self.stdin = stdin if stdin is not None else sys.stdin
         self.stdout = stdout if stdout is not None else sys.stdout
         # Settled outcomes of the session's pipeline calls, oldest first, under
-        # the latest call's (transport mode, fixtures dir): at most one entry.
+        # the latest call's (transport mode, resolved fixtures dir): one entry
+        # at most.
         self.known: dict[tuple[str, str | None], dict[tuple[str, Query], QueryOutcome]] = {}
 
     def call_tool(self, name: str, args: dict) -> tuple[str, bool]:
@@ -83,7 +86,9 @@ class McpServer:
         if command == "scan":
             return run_command(command, options)[0], False
         config = options.source_config()
-        key = (config.transport_mode, config.fixtures_dir)
+        # One store is one key, however the call spells its path.
+        key = (config.transport_mode,
+               config.fixtures_dir and str(Path(config.fixtures_dir).resolve()))
         known = self.known.get(key, {})
         payload, run = run_command(command, options, known=known)
         settled = {(o.source, o.query): o for v in run.verdicts for o in v.outcomes

@@ -366,6 +366,12 @@ def title_searching_pass_query(entry: ReferenceInput, pass_number: int, source: 
     return query
 
 
+def always_ask_arxiv(entry: ReferenceInput, best: float) -> bool:
+    """`matching.asks_arxiv_title_search` as it was before arXiv was asked
+    last in pass 1, kept as a reference: every pass-1 title search is sent."""
+    return True
+
+
 def live_over(session: CatalogSession) -> LiveTransport:
     """citecheck's live transport sending to `session`, retrying without a pause."""
     return LiveTransport(session=session, sleep=lambda seconds: None)

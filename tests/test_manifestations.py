@@ -138,7 +138,8 @@ def test_end_to_end_manifestation_conflict(corpus_paths):
 def test_doi_cited_journal_with_preprint_keeps_its_verdict(tmp_path, monkeypatch):
     """A cited journal DOI whose work has an arXiv preprint: pass 1 no longer
     finds the preprint by title at arXiv, and the verdict (status, chosen
-    record, issues) is the one the title-searching planner gives."""
+    record, issues) is the one the title-searching planner gives when it
+    asks arXiv whatever the other sources answered."""
     spec = corpus.PUBLISHED_WITH_PREPRINT
     bib = tmp_path / "published.bib"
     corpus.write_bib(bib, [spec])
@@ -148,6 +149,7 @@ def test_doi_cited_journal_with_preprint_keeps_its_verdict(tmp_path, monkeypatch
     sources = corpus.live_over(CatalogSession(corpus.CATALOG))
     verdict = verify_entry(entry, sources, corpus.CONFIG)
     monkeypatch.setattr(matching, "source_pass_query", corpus.title_searching_pass_query)
+    monkeypatch.setattr(matching, "asks_arxiv_title_search", corpus.always_ask_arxiv)
     before = verify_entry(entry, sources, corpus.CONFIG)
 
     found = {(r.source, r.manifestation_kind) for o in before.outcomes for r in o.records or ()}

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import random
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,12 +17,13 @@ from hypothesis import strategies as st
 
 import corpus
 from catalog import CatalogSession
-from citecheck import matching, textnorm
+from citecheck import __version__, matching, textnorm
 from citecheck.extraction import extract_references
 from citecheck.extraction.models import RawReference, ReferenceInput
 from citecheck.matching import (cluster_join, dedupe_and_cluster, derive_issues,
                                 relaxed_query_text, score_match, source_pass_query,
                                 title_similarity, verify_entries, verify_entry)
+from citecheck.pipeline import RunOptions, run_command
 from citecheck.sources import (CandidateRecord, FixtureStore, ReplayTransport, Transport,
                                query_source, request_key, summarize_health, supports)
 from citecheck.sources.config import SourceConfig
@@ -596,20 +599,31 @@ def _corpus_entries(corpus_paths) -> list[ReferenceInput]:
 def _sequential_passes(entry: ReferenceInput, transport: Transport,
                        config: SourceConfig) -> tuple[tuple, int]:
     """(evidence, passes_used) of the plain loop: one entry, one source
-    query at a time, escalating while its best score stays weak."""
+    query at a time, escalating while its best score stays weak. arXiv's
+    pass-1 title search is asked after the pass's other queries, when
+    `matching.asks_arxiv_title_search` says so; patch that to always ask."""
     enabled = [s for s in SOURCES if config.is_enabled(s)]
     evidence, first_records, passes_used = [], {}, 0
+
+    def best():
+        return max((score_match(entry, r).confidence for r in first_records.values()),
+                   default=0.0)
+
     for pass_number in (1, 2, 3) if enabled else ():
         passes_used = pass_number
-        for source in enabled:
-            query = source_pass_query(entry, pass_number, source)
-            if query is not None:
-                outcome = query_source(source, query, transport, config)
-                evidence.append((pass_number, query, outcome.digest()))
-                for r in outcome.records or ():
-                    first_records.setdefault((r.source, r.source_id), r)
-        if max((score_match(entry, r).confidence for r in first_records.values()),
-               default=0.0) >= matching.WEAK_THRESHOLD:
+        queries = {source: query for source in enabled
+                   if (query := source_pass_query(entry, pass_number, source)) is not None}
+        last = pass_number == 1 and "arxiv" in queries and queries["arxiv"].kind == "title_search"
+        outcomes = {}
+        for source in sorted(queries, key=lambda source: last and source == "arxiv"):
+            if last and source == "arxiv" and not matching.asks_arxiv_title_search(entry, best()):
+                continue
+            outcomes[source] = outcome = query_source(source, queries[source], transport, config)
+            for r in outcome.records or ():
+                first_records.setdefault((r.source, r.source_id), r)
+        evidence += [(pass_number, queries[source], outcomes[source].digest())
+                     for source in enabled if source in outcomes]
+        if best() >= matching.WEAK_THRESHOLD:
             break
     return tuple(evidence), passes_used
 
@@ -744,7 +758,8 @@ def _outside_evidence(verdict):
 
 def test_doi_cited_bibliography_sends_arxiv_no_pass1_title_search(tmp_path, monkeypatch):
     """Against the planner that also searched arXiv by title for a DOI-cited
-    entry: those searches are the only requests no longer sent, arXiv's
+    entry, and sent every pass-1 title search whatever the other sources
+    answered: those searches are the only requests no longer sent, arXiv's
     `attempted` falls by exactly their count, and every verdict is the same
     outside its evidence."""
     bib = tmp_path / "references.bib"
@@ -753,8 +768,9 @@ def test_doi_cited_bibliography_sends_arxiv_no_pass1_title_search(tmp_path, monk
     doi_cited = [e.title for e in entries if e.doi and not e.arxiv_id]
     assert len(doi_cited) == 8
 
-    def run(plan):
+    def run(plan, asks_arxiv):
         monkeypatch.setattr(matching, "source_pass_query", plan)
+        monkeypatch.setattr(matching, "asks_arxiv_title_search", asks_arxiv)
         session = CatalogSession(corpus.CATALOG)
         verdicts = verify_entries(entries, _ShuffledTransport(corpus.live_over(session)),
                                   CONFIG)
@@ -762,8 +778,9 @@ def test_doi_cited_bibliography_sends_arxiv_no_pass1_title_search(tmp_path, monk
         return (session.received, next(h.attempted for h in health if h.source == "arxiv"),
                 verdicts)
 
-    sent_before, arxiv_before, verdicts_before = run(corpus.title_searching_pass_query)
-    sent, arxiv_attempted, verdicts = run(source_pass_query)
+    sent_before, arxiv_before, verdicts_before = run(corpus.title_searching_pass_query,
+                                                     corpus.always_ask_arxiv)
+    sent, arxiv_attempted, verdicts = run(source_pass_query, matching.asks_arxiv_title_search)
     queries = {f'all:"{title}"' for title in doi_cited}
     title_searches = [(source, path, params) for source, path, params in sent_before
                       if source == "arxiv" and dict(params).get("search_query") in queries]
@@ -793,3 +810,121 @@ def test_entry_whose_doi_no_source_resolves_reaches_arxiv_in_pass_two(tmp_path):
     assert verdict.passes_used == 2
     assert verdict.chosen.source == "arxiv"
     assert verdict.chosen.arxiv_id == spec.arxiv
+
+
+# ---------------------------------------------------------------------------
+# Pass 1 asks arXiv last; entries move on as their own answers arrive
+# ---------------------------------------------------------------------------
+
+_ON_ARXIV = corpus.RefSpec(
+    "a1", "Contrastive pretraining of protein language models for fold recognition",
+    (("Ibarra", "L."),), 2022, doi="10.48550/arxiv.2204.05678", arxiv="2204.05678",
+    arxiv_mode="match")
+
+
+@pytest.mark.parametrize("crossref_mode, cited, sent", [
+    ("match", {}, 0),  # verified by Crossref's title search
+    ("io_error", {}, 1),
+    ("s429", {}, 1),
+    ("match", {"kind": "preprint"}, 1),
+    ("match", {"venue": "arXiv preprint"}, 1),
+    ("match", {"doi": _ON_ARXIV.doi}, 1),  # arXiv's own DOI
+])
+def test_arxiv_gets_its_pass1_title_search_only_when_needed(crossref_mode, cited, sent):
+    """arXiv's pass-1 title search goes out once the entry's other pass-1
+    answers are in, and only when they leave it short of verified, or when
+    the entry is a preprint, names arXiv as its venue, or cites arXiv's DOI.
+    Either way the entry is verified."""
+    spec = dataclasses.replace(_ON_ARXIV, crossref_mode=crossref_mode)
+    entry = make_entry(**{"title": spec.title, "authors": spec.authors, "year": spec.year,
+                          "venue": None, **cited})
+    session = CatalogSession([spec])
+    verdict = verify_entry(entry, corpus.live_over(session), CONFIG)
+    searched = sum(n for (source, _, params), n in session.received.items()
+                   if source == "arxiv" and dict(params).get("search_query")
+                   == f'all:"{spec.title}"')
+    assert searched == sent
+    assert [query.kind for n, query, digest in verdict.evidence
+            if (n, digest["source"]) == (1, "arxiv")] == ["title_search"] * sent
+    assert verdict.status == "verified"
+
+
+class _GatedTransport(Transport):
+    """Answers 404 to every request. Crossref's search for `gated` first
+    waits, for up to `timeout` seconds, for the pass-2 Crossref search of
+    the entry titled `other`; `opened` says whether that one arrived."""
+
+    def __init__(self, gated: str, other: str, timeout: float = 5.0):
+        self.gated, self.other, self.timeout = gated, other, timeout
+        self.other_pass2 = threading.Event()
+        self.opened = None
+
+    def fetch(self, request):
+        text = dict(request.params).get("query.bibliographic")
+        if request.source == "crossref" and text == self.gated:
+            self.opened = self.other_pass2.wait(self.timeout)
+        elif request.source == "crossref" and text and text.startswith(f"{self.other} "):
+            self.other_pass2.set()
+        return RawResponse(status=404, body=b"")
+
+
+def test_an_entry_moves_on_while_another_waits():
+    """One entry's slow pass-1 answer holds no other entry back: the other
+    entry's pass-2 request arrives while the first still waits."""
+    slow = make_entry(title="Slow answers from a distant catalog", ordinal=1)
+    quick = make_entry(title="Quick answers from a nearby catalog", ordinal=2)
+    transport = _GatedTransport(slow.title, quick.title)
+    verdicts = verify_entries([slow, quick], transport, CONFIG, workers=2)
+    assert transport.opened is True
+    assert [v.passes_used for v in verdicts] == [3, 3]
+
+
+def test_steps_stay_in_pass_source_order_when_arxiv_is_asked_last():
+    """Semantic Scholar answers in pass 1's first wave and arXiv in its last,
+    yet the trail lists each pass in source order."""
+    config = SourceConfig(enabled_sources=SOURCES)
+    verdict = verify_entry(make_entry(), _InFlightTransport(), config)
+    assert [(n, o.source) for n, o in verdict.steps] == [
+        (n, source) for n in (1, 2, 3) for source in SOURCES]
+
+
+def test_a_query_that_raises_ends_the_batch_and_its_lanes(monkeypatch):
+    """An error raised by a query in a lane reaches the caller, and no lane
+    thread outlives the batch."""
+    calls = itertools.count()
+
+    def raising(source, query, transport, config):
+        if next(calls) == 5:
+            raise RuntimeError("boom in a lane")
+        return query_source(source, query, transport, config)
+
+    monkeypatch.setattr(matching, "query_source", raising)
+    entries = [make_entry(title=f"Study number {i} of lanes", ordinal=i) for i in range(12)]
+    with pytest.raises(RuntimeError, match="boom in a lane"):
+        verify_entries(entries, _InFlightTransport(), CONFIG, workers=2)
+    assert [t.name for t in threading.enumerate() if t.name.startswith("citecheck-")] == []
+
+
+# sha256 of the 40 payloads below, version blanked, as the lockstep pass loop
+# printed them: each pass waited for all its queries, arXiv's pass-1 title
+# search among them.
+LOCKSTEP_PAYLOADS_SHA256 = "a0cc5ead4592fc830f2fb9117e5cdf4000344d7a8dc376784dd8fe27c2d1b9d2"
+
+
+def test_the_scheduler_alone_changes_no_report_byte(tmp_path, monkeypatch):
+    """With arXiv asked its pass-1 title search unconditionally, verifying
+    each entry as its own answers arrive prints the lockstep loop's bytes:
+    the 40 corpus payloads (10 bibliographies, review and replacement, JSON
+    and BibTeX), recorded and run from relative paths."""
+    monkeypatch.setattr(matching, "asks_arxiv_title_search", corpus.always_ask_arxiv)
+    monkeypatch.chdir(tmp_path)
+    paths = corpus.build_corpus(Path("corpus"))
+    digest = hashlib.sha256()
+    for bibliography in corpus.bibliographies(paths):
+        for mode, fmt in itertools.product(("review", "replacement"), ("json", "bibtex")):
+            payload, _ = run_command("repair", RunOptions(
+                path=str(bibliography), mode=mode, fmt=fmt, transport="replay",
+                fixtures_dir=str(paths["fixtures"]), env={}))
+            digest.update(payload.replace(f'"citecheck_version": "{__version__}"',
+                                          '"citecheck_version": ""').encode("utf-8"))
+    assert digest.hexdigest() == LOCKSTEP_PAYLOADS_SHA256

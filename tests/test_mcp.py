@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import shutil
 
 import pytest
@@ -358,6 +359,22 @@ def test_other_store_or_transport_reads_everything_again(corpus_paths, tmp_path,
     payload, _ = server.call_tool("analyze_references", second_args)
     assert sorted(fetches) == first
     assert payload == McpServer().call_tool("analyze_references", second_args)[0]
+
+
+def test_one_store_however_spelled_is_read_once(corpus_paths, fetches, monkeypatch):
+    """The store named by its absolute path, with a trailing separator, and
+    relative to the working directory is one store to the memo."""
+    store = corpus_paths["fixtures"]
+    monkeypatch.chdir(store.parent)
+    server = McpServer()
+    payloads, fetched = [], []
+    for spelled in (str(store), str(store) + os.sep, store.name):
+        fetches.clear()
+        args = {**_replay_args(corpus_paths, "main"), "fixtures_dir": spelled}
+        payloads.append(server.call_tool("analyze_references", args)[0])
+        fetched.append(len(fetches))
+    assert fetched[0] > 0 and fetched[1:] == [0, 0]
+    assert payloads == payloads[:1] * 3
 
 
 def test_a_folder_seen_earlier_in_the_session_fetches_nothing(corpus_paths, fetches):

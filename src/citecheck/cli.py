@@ -11,9 +11,10 @@ import argparse
 import sys
 from dataclasses import MISSING
 
-from . import __version__, mcp_server
+from . import __version__
 from .errors import CitecheckError, UsageError
-from .pipeline import COMMANDS, RunOptions, front_end_options, run_command
+from .mcp_server import McpServer
+from .pipeline import COMMANDS, RunOptions, front_end_options, run_command, write_payload
 
 EX_USAGE = 64
 EX_OPERATIONAL = 2
@@ -67,11 +68,11 @@ def run(argv: list[str] | None = None) -> int:
             print(__version__)
             return 0
         if command == "serve":
-            mcp_server.serve()
+            McpServer().serve()
             return 0
         options = RunOptions.from_arguments(args, scan=command == "scan")
         payload, result = run_command(command, options)
-        print(payload)
+        write_payload(sys.stdout, payload)
         if result is not None and result.apply_error is not None:
             print(f"citecheck: {result.apply_error}", file=sys.stderr)
         return result.exit_code if command in ("analyze", "repair") else 0

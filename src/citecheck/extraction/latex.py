@@ -17,36 +17,20 @@ CITE_COMMAND_RE = re.compile(
 )
 
 
+# An escaped character, or a '%' comment to the end of its line as
+# str.splitlines ends lines. A CR or LF ends the comment and stays; any
+# other line break is blanked with it.
+_OTHER_BREAKS = r"\v\f\x1c-\x1e\x85\u2028\u2029"
+_COMMENT_RE = re.compile(rf"(\\.)|%[^\n\r{_OTHER_BREAKS}]*[{_OTHER_BREAKS}]?", re.DOTALL)
+
+
 def strip_comments(tex_source: str) -> str:
     """Blank out '%' comments (preserving offsets) so directives in them are ignored.
 
     Escaped ``\\%`` does not start a comment. Characters are replaced with
     spaces instead of removed so every span survives unchanged.
     """
-    out = []
-    for line in tex_source.splitlines(keepends=True):
-        cut = None
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if ch == "\\":
-                i += 2
-                continue
-            if ch == "%":
-                cut = i
-                break
-            i += 1
-        if cut is None:
-            out.append(line)
-        else:
-            kept = line[:cut]
-            tail = line[cut:]
-            newline = ""
-            while tail.endswith(("\n", "\r")):
-                newline = tail[-1] + newline
-                tail = tail[:-1]
-            out.append(kept + " " * len(tail) + newline)
-    return "".join(out)
+    return _COMMENT_RE.sub(lambda m: m[1] or " " * len(m[0]), tex_source)
 
 
 def named_bib_resources(tex_source: str) -> list[str]:

@@ -30,7 +30,7 @@ from typing import Any, TextIO
 
 from . import __version__
 from .errors import CitecheckError
-from .pipeline import COMMANDS, RunOptions, front_end_options, run_command
+from .pipeline import COMMANDS, RunOptions, front_end_options, run_command, write_payload
 from .sources import Query, QueryOutcome
 
 PROTOCOL_VERSION = "2024-11-05"
@@ -110,8 +110,7 @@ class McpServer:
         line = json.dumps(message, ensure_ascii=False)
         for char in "\x85\u2028\u2029":  # line breaks to str.splitlines, left raw by json
             line = line.replace(char, f"\\u{ord(char):04x}")
-        self.stdout.write(line + "\n")
-        self.stdout.flush()
+        write_payload(self.stdout, line)
 
     def _result(self, request_id, result: dict) -> None:
         self._send({"jsonrpc": "2.0", "id": request_id, "result": result})
@@ -184,7 +183,3 @@ class McpServer:
                             "error": {"code": -32600, "message": "invalid request"}})
                 continue
             self.handle(request)
-
-
-def serve(stdin: TextIO | None = None, stdout: TextIO | None = None) -> None:
-    McpServer(stdin=stdin, stdout=stdout).serve()

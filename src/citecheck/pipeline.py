@@ -9,10 +9,12 @@ sorted keys, relative forward-slash paths, no timestamps and no timings.
 import functools
 import json
 import os
+import re
 import typing
 from collections.abc import Callable, Mapping
 from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
+from typing import TextIO
 
 from . import __version__
 from .errors import BlockedByPolicy, UsageError
@@ -67,7 +69,7 @@ class RunOptions:
     mode: str = _option("review, or replacement to plan patches", "review", choices=PLAN_MODES)
     write: str = _option("Where rewrite output lands", "preview", choices=WRITE_MODES)
     fmt: str = _option("Report or bibliography format", "json", name="format",
-                       choices=RENDER_FORMATS)
+                       choices=("json", *RENDER_FORMATS))
     preset: str = _option("Policy preset", "default", choices=tuple(PRESETS))
     sources: tuple[str, ...] | None = _option("Sources to query", None, choices=SOURCES)
     transport: str | None = _option("HTTP transport mode", None, choices=TRANSPORT_MODES)
@@ -153,9 +155,9 @@ def _relativizer(base: Path) -> Callable[[str | Path], str]:
 
     @functools.cache
     def relativize(path: str | Path) -> str:
-        try:
-            return Path(path).resolve().relative_to(base).as_posix()
-        except ValueError:
+        try:  # a path outside `base` climbs out of it with ".."
+            return Path(os.path.relpath(Path(path).resolve(), base)).as_posix()
+        except ValueError:  # on another drive
             return str(path).replace(os.sep, "/")
     return relativize
 
@@ -163,6 +165,24 @@ def _relativizer(base: Path) -> Callable[[str | Path], str]:
 def report_json(report: dict) -> str:
     """Canonical serialization; CLI stdout and MCP payloads share these bytes."""
     return json.dumps(report, indent=2, ensure_ascii=False, sort_keys=True)
+
+
+_LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def write_payload(stream: TextIO, text: str) -> None:
+    """Write `text` and a newline to `stream`, and flush it.
+
+    A lone surrogate, from a source's `\\ud800` escape or an undecodable
+    file name, cannot be encoded, so it is written as that JSON escape. Only
+    text whose encoding fails is searched for one.
+    """
+    try:
+        stream.write(text)
+    except UnicodeEncodeError:
+        stream.write(_LONE_SURROGATE.sub(lambda m: f"\\u{ord(m[0]):04x}", text))
+    stream.write("\n")
+    stream.flush()
 
 
 def render_output(result: "RepairRun", fmt: str) -> str:
@@ -265,16 +285,13 @@ def run_repair(options: RunOptions, stage: str = "repair",
 
 
 def _replacement_status(options: RunOptions, decision: PolicyDecision,
-                        plan: RewritePlan | None, apply_result: ApplyResult | None,
-                        apply_error: str | None) -> dict:
+                        plan: RewritePlan | None, apply_result: ApplyResult | None) -> dict:
     if options.mode != "replacement":
         status = "not_requested"
     elif plan is not None and plan.blocked:
         status = "blocked"
     elif apply_result is not None and apply_result.applied:
         status = "applied"
-    elif apply_error is not None:
-        status = "blocked"
     else:
         status = "planned"
     return {
@@ -368,7 +385,6 @@ def assemble_report(options: RunOptions, base_dir: Path, scan: ScanReport,
         "summary": summary.to_dict(),
         "decision": decision.to_dict(),
         "plan": plan.to_dict(relativize) if plan is not None else None,
-        "replacement": _replacement_status(options, decision, plan, apply_result,
-                                           apply_error),
+        "replacement": _replacement_status(options, decision, plan, apply_result),
         "apply": apply_dict,
     }

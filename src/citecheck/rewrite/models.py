@@ -9,7 +9,8 @@ PATCH_KINDS = ("entry_replace", "field_update", "key_rename")
 WRITE_MODES = ("preview", "sidecar", "replace")
 PLAN_MODES = ("review", "replacement")
 
-RENDER_FORMATS = ("json", "bibtex", "text", "markdown", "endnote")
+# The bibliography formats; the front ends also take `json`, which is the report.
+RENDER_FORMATS = ("bibtex", "text", "markdown", "endnote")
 
 
 @dataclass(frozen=True)

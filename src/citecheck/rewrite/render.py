@@ -1,16 +1,15 @@
-"""Bibliography rendering in the five supported output formats.
+"""Bibliography rendering in the four supported output formats.
 
 Every renderer works from the same merged view: the chosen source record
 overrides title/authors/year/venue/identifiers, the cited entry supplies
-everything else (volume, pages, leftover BibTeX fields). Each format but
-JSON renders one entry at a time, and one helper numbers and joins them.
+everything else (volume, pages, leftover BibTeX fields). Each format
+renders one entry at a time, and one helper numbers and joins them.
 Output is fully deterministic; the BibTeX form is a parser fixed point,
 which the round-trip suite pins byte-for-byte.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -56,7 +55,6 @@ class MergedEntry:
     volume: str | None
     pages: str | None
     extra_fields: tuple[tuple[str, str], ...]
-    verified: bool
 
 
 def merge_entry(entry: ReferenceInput, chosen: CandidateRecord | None,
@@ -81,7 +79,6 @@ def merge_entry(entry: ReferenceInput, chosen: CandidateRecord | None,
         volume=entry.fields.get("volume"),
         pages=entry.fields.get("pages"),
         extra_fields=extras,
-        verified=chosen is not None,
     )
 
 
@@ -236,29 +233,8 @@ def _render_entries(render_one: Callable[[MergedEntry], str], separator: str, la
                           for number, m in enumerate(merged, start=1)) + "\n"
 
 
-def _render_json(merged: list[MergedEntry]) -> str:
-    records = []
-    for m in merged:
-        records.append({
-            "key": m.key,
-            "kind": m.kind,
-            "title": m.title,
-            "authors": [list(a) for a in m.authors],
-            "year": m.year,
-            "venue": m.venue,
-            "doi": m.doi,
-            "pmid": m.pmid,
-            "arxiv_id": m.arxiv_id,
-            "volume": m.volume,
-            "pages": m.pages,
-            "verified": m.verified,
-        })
-    return json.dumps(records, indent=2, ensure_ascii=False)
-
-
 # One renderer per output format, in RENDER_FORMATS order.
 RENDERERS = {
-    "json": _render_json,
     "bibtex": partial(_render_entries, render_bibtex_entry, "\n\n", ""),
     "text": partial(_render_entries, render_text_entry, "\n", "[{}] "),
     "markdown": partial(_render_entries, render_markdown_entry, "\n", "{}. "),

@@ -140,10 +140,6 @@ class QueryOutcome:
             raise ValueError("exactly one of records/failure must be present")
 
     @property
-    def ok(self) -> bool:
-        return self.records is not None
-
-    @property
     def failed(self) -> bool:
         """A failure of a real class; not_found is evidence of absence, not a failure."""
         return self.failure is not None and self.failure.failure != "not_found"

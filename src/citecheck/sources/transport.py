@@ -66,7 +66,7 @@ class RawResponse:
 
 
 def request_key(request: HttpRequest) -> str:
-    """The request's canonical key, `HttpRequest.key`."""
+    """The request's canonical key, `HttpRequest.key`, under its exported name."""
     return request.key
 
 
@@ -243,7 +243,7 @@ class ReplayTransport(Transport):
         self.store = store
 
     def fetch(self, request: HttpRequest) -> RawResponse:
-        return self.store.load(request_key(request))
+        return self.store.load(request.key)
 
 
 class RecordTransport(Transport):
@@ -255,7 +255,7 @@ class RecordTransport(Transport):
 
     def fetch(self, request: HttpRequest) -> RawResponse:
         response = self.live.fetch(request)
-        self.store.save(request_key(request), response)
+        self.store.save(request.key, response)
         return response
 
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
 import pytest
 
 import corpus
-from citecheck.sources import transport
+from citecheck.sources import FixtureStore, Query, RawResponse, config_from_env, transport
+from citecheck.sources.connectors import crossref_request
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -68,3 +70,20 @@ def fetches(monkeypatch) -> list[str]:
             return fetch(self, request)
         monkeypatch.setattr(cls, "fetch", spy)
     return seen
+
+
+@pytest.fixture()
+def surrogate_title(tmp_path) -> tuple[Path, Path]:
+    """(folder, replay store): the folder's .bib cites one DOI, and the store's
+    Crossref answer for it titles the work "Deep Learning \\ud800", with the
+    lone surrogate written as a JSON escape, as a source may send it."""
+    folder = tmp_path / "paper"
+    folder.mkdir()
+    (folder / "refs.bib").write_text(
+        "@article{k, title={Deep Learning}, doi={10.1000/dl}, year={2015}}\n", encoding="utf-8")
+    request = crossref_request(Query(kind="doi_lookup", text="10.1000/dl"), config_from_env({}))
+    work = {"DOI": "10.1000/dl", "title": ["Deep Learning \ud800"], "type": "journal-article",
+            "issued": {"date-parts": [[2015]]}}
+    body = json.dumps({"status": "ok", "message": work}).encode("ascii")
+    FixtureStore(tmp_path / "store").save(request.key, RawResponse(status=200, body=body))
+    return folder, tmp_path / "store"

@@ -68,6 +68,14 @@ def test_comment_and_preamble_skipped():
     assert not result.errors
 
 
+def test_unterminated_comment_block_is_an_error_and_parsing_resumes():
+    text = "@comment{never closed\n@misc{k, title={Kept}}\n"
+    result = parse_bibtex(text)
+    assert [e.key for e in result.entries] == ["k"]
+    assert [(e.offset, e.message) for e in result.errors] == [
+        (0, "unterminated comment/preamble block")]
+
+
 def test_spans_reproduce_source_exactly():
     text = "junk before\n@article{k1,\n  title = {Exact},\n  year = {2020}\n}\nafter"
     entry = parse_bibtex(text).entries[0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import shutil
@@ -12,6 +13,9 @@ from pathlib import Path
 import pytest
 
 from citecheck.cli import run
+from citecheck.pipeline import RunOptions, run_command
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _replay_args(command, path, corpus_paths, *extra):
@@ -54,6 +58,13 @@ def test_out_of_range_option_exits_64(tmp_path, capsys, command, flag):
 
 def test_no_command_exits_64(capsys):
     assert run([]) == 64
+
+
+def test_serve_answers_on_standard_streams(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        '{"jsonrpc": "2.0", "id": 1, "method": "tools/list"}\n'))
+    assert run(["serve"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["result"]["tools"]) == 6
 
 
 def test_scan_outputs_report(tmp_path, capsys):
@@ -103,6 +114,37 @@ def test_title_without_content_words_gets_a_report(tmp_path, capsys):
     assert [e["passes_used"] for e in report["entries"]] == [3, 3]
     assert all(step["query"]["kind"] != "relaxed_search"
                for e in report["entries"] for step in e["evidence"])
+
+
+def _citecheck_strict_utf8(*argv: str) -> subprocess.CompletedProcess:
+    """`citecheck` in a child process whose stdout refuses what UTF-8 cannot encode."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8")
+    return subprocess.run([sys.executable, "-m", "citecheck.cli", *argv], env=env,
+                          capture_output=True)
+
+
+def test_source_title_with_a_lone_surrogate_ends_in_a_report(surrogate_title):
+    """A replayed title holding the JSON escape \\ud800 is printed as that
+    escape, so the report reads back to the one a run builds."""
+    folder, store = surrogate_title
+    argv = ["--path", str(folder), "--transport", "replay", "--fixtures-dir", str(store),
+            "--sources", "crossref"]
+    proc = _citecheck_strict_utf8("analyze", *argv)
+    assert b"Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    options = RunOptions(path=str(folder), transport="replay", fixtures_dir=str(store),
+                         sources=("crossref",))
+    assert report == json.loads(run_command("analyze", options)[0])
+    assert report["entries"][0]["chosen"]["title"] == "Deep Learning \ud800"
+    assert proc.returncode == report["decision"]["exit_code"]
+
+
+def test_undecodable_file_name_ends_in_a_scan_report(tmp_path):
+    name = os.fsdecode(b"r\xffefs.bib")  # "r\udcffefs.bib": a surrogate stands for 0xff
+    (tmp_path / name).write_text("@misc{k, title={T}}\n", encoding="utf-8")
+    proc = _citecheck_strict_utf8("scan", "--path", str(tmp_path))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert [c["path"] for c in json.loads(proc.stdout)["candidates"]] == [name]
 
 
 def test_strict_preset_flips_exit_code(corpus_paths, capsys):
@@ -266,7 +308,7 @@ def test_only_a_live_transport_loads_the_http_stack(tmp_path, corpus_paths):
     paper = tmp_path / "biomed"
     shutil.copytree(corpus_paths["biomed"], paper)
     out = tmp_path / "loaded.json"
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     subprocess.run([sys.executable, "-c", _NO_HTTP_STACK, str(corpus_paths["fixtures"]),
                     str(paper), str(out)], env=env, check=True, capture_output=True)
     loaded = json.loads(out.read_text(encoding="utf-8"))

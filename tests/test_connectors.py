@@ -115,6 +115,14 @@ def test_parse_pubmed_esummary():
     assert record.venue == spec.venue
 
 
+def test_parse_pubmed_esummary_takes_the_doi_from_elocationid():
+    spec = corpus.BIOMED[0]
+    item = {**catalog.pubmed_summary_record(spec), "articleids": [],
+            "elocationid": f"doi: {spec.doi.upper()}"}
+    body = json.dumps({"result": {"uids": [spec.pmid], spec.pmid: item}}).encode()
+    assert parse_pubmed_esummary(body, "prov")[0].doi == spec.doi
+
+
 def test_parse_arxiv_feed_asserts_journal_doi_as_related():
     spec = corpus.MANIFESTATION
     records = parse_arxiv_feed(catalog.arxiv_feed([spec]).encode(), "prov")
@@ -143,6 +151,14 @@ def test_parse_s2_paper_body():
     assert record.arxiv_id == "2001.00001"
     assert record.pmid == "123"
     assert record.manifestation_kind == "journal"
+
+
+def test_parse_s2_paper_with_arxiv_id_and_no_venue_is_a_preprint():
+    body = json.dumps({"paperId": "abc123", "title": "Sample Paper", "venue": "",
+                       "externalIds": {"ArXiv": "2001.00001"},
+                       "publicationTypes": ["Review"]}).encode()
+    record = parse_s2_body(body, "arxiv_lookup", "prov")[0]
+    assert (record.arxiv_id, record.manifestation_kind) == ("2001.00001", "preprint")
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +221,16 @@ def test_replay_returns_identical_bytes(tmp_path):
     transport = ReplayTransport(store)
     assert transport.fetch(request).body == body
     assert transport.fetch(request) == transport.fetch(request)
+
+
+def test_body_that_is_not_utf8_is_stored_as_base64_and_replayed_exactly(tmp_path):
+    store = FixtureStore(tmp_path)
+    request = arxiv_request(Query(kind="arxiv_lookup", text="2101.00001"), CONFIG)
+    body = b"<feed>\xff\xfe not UTF-8</feed>"
+    path = store.save(request_key(request), RawResponse(status=200, body=body))
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert "body" not in record and "body_b64" in record
+    assert ReplayTransport(store).fetch(request).body == body
 
 
 def test_replay_missing_fixture_names_key(tmp_path):
@@ -406,7 +432,7 @@ def test_doi_lookup_replays_fixture(corpus_paths):
     spec = corpus.MAIN_BIB[0]
     outcome = query_source("crossref", Query(kind="doi_lookup", text=spec.doi),
                            _replay(corpus_paths), CONFIG)
-    assert outcome.ok
+    assert outcome.failure is None
     assert outcome.records[0].doi == spec.doi
     assert outcome == query_source("crossref", Query(kind="doi_lookup", text=spec.doi),
                                    _replay(corpus_paths), CONFIG)
@@ -418,7 +444,7 @@ def test_rate_limited_fixture_maps_to_rate_limit(corpus_paths, tmp_path):
     request = crossref_request(query, CONFIG)
     store.save(request_key(request), RawResponse(status=429, body=b""))
     outcome = query_source("crossref", query, ReplayTransport(store), CONFIG)
-    assert not outcome.ok
+    assert outcome.failure is not None
     assert outcome.failure.failure == "rate_limit"
     assert outcome.failure.retryable
 
@@ -474,7 +500,7 @@ def test_pubmed_two_step(corpus_paths):
     from citecheck.matching import source_pass_query
     query = source_pass_query(entry, 1, "pubmed")
     outcome = query_source("pubmed", query, _replay(corpus_paths), CONFIG)
-    assert outcome.ok
+    assert outcome.failure is None
     assert outcome.records[0].pmid == spec.pmid
     assert outcome.records[0].doi == spec.doi
 
@@ -539,7 +565,7 @@ def test_health_recount_oracle():
     for entry in health:
         mine = [o for o in outcomes if o.source == entry.source]
         succeeded = sum(1 for o in mine
-                        if o.ok or o.failure.failure == "not_found")
+                        if o.failure is None or o.failure.failure == "not_found")
         assert entry.attempted == len(mine)
         assert entry.succeeded == succeeded
         assert entry.attempted == entry.succeeded + sum(
@@ -600,7 +626,7 @@ def _assert_outcome(source: str, kind: str, bodies: list[bytes]) -> None:
     outcome = query_source(source, Query(kind=kind, text="1234.5678"),
                            _BodiesTransport(bodies), _ALL_ENABLED)
     assert isinstance(outcome, QueryOutcome)
-    assert outcome.ok or outcome.failure.failure in ("payload_shape", "not_found")
+    assert outcome.failure is None or outcome.failure.failure in ("payload_shape", "not_found")
     for record in outcome.records or ():
         score_match(_CITED, record)  # matching takes whatever a parser returns
 

@@ -12,13 +12,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import corpus
-from citecheck.errors import CitecheckError, MissingDocumentPart, UnsupportedFormat
+from citecheck.errors import (CitecheckError, CorruptArchive, MissingDocumentPart,
+                              UnsupportedFormat)
 from citecheck.extraction import (detect_reference_section, extract_docx_text,
                                   extract_references, lint_bibliography,
                                   normalize_reference, resolve_tex_bib_resources)
 from citecheck.extraction.latex import extract_bibitems, strip_comments
 from citecheck.extraction.models import RawReference, ReferenceInput, RejectedReference
-from citecheck.extraction.text import parse_freetext_fields, segment_references
+from citecheck.extraction.text import (parse_freetext_fields, segment_references,
+                                       split_freetext_authors)
 from citecheck.rewrite.render import MergedEntry, patch_text_entry
 
 
@@ -154,6 +156,47 @@ def test_strip_comments_preserves_offsets():
     assert strip_comments("100\\% sure \\bibliography{x}").count("bibliography") == 1
 
 
+def _strip_comments_by_hand(tex_source: str) -> str:
+    """`strip_comments` as a character loop, kept as the reference for its regex."""
+    out = []
+    for line in tex_source.splitlines(keepends=True):
+        cut = None
+        i = 0
+        while i < len(line):
+            ch = line[i]
+            if ch == "\\":
+                i += 2
+                continue
+            if ch == "%":
+                cut = i
+                break
+            i += 1
+        if cut is None:
+            out.append(line)
+        else:
+            kept = line[:cut]
+            tail = line[cut:]
+            newline = ""
+            while tail.endswith(("\n", "\r")):
+                newline = tail[-1] + newline
+                tail = tail[:-1]
+            out.append(kept + " " * len(tail) + newline)
+    return "".join(out)
+
+
+# Escapes, comments, braces and every line break str.splitlines knows.
+_TEX_PIECES = ["a", "b", " ", "%", "\\", "{", "}", "\n", "\r", "\r\n", "\v", "\f",
+               "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_TEX_PIECES), max_size=16).map("".join))
+@example("a % b\u2028c % d\r\ne")
+@example("\\\n% c\\")
+def test_strip_comments_matches_the_character_loop(tex):
+    assert strip_comments(tex) == _strip_comments_by_hand(tex)
+
+
 def test_bibitem_extraction():
     tex = ("\\begin{thebibliography}{9}\n"
            "\\bibitem{a1} Doe, J. (2020). First item. Venue.\n"
@@ -192,6 +235,25 @@ def test_docx_missing_document_part():
         archive.writestr("word/other.xml", "<x/>")
     with pytest.raises(MissingDocumentPart):
         extract_docx_text(buffer.getvalue())
+
+
+def _docx_of(document_xml: str) -> bytes:
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        archive.writestr("word/document.xml", document_xml)
+    return buffer.getvalue()
+
+
+def test_docx_malformed_document_xml_is_a_corrupt_archive():
+    with pytest.raises(CorruptArchive):
+        extract_docx_text(_docx_of("<w:document><w:body>"))
+
+
+def test_docx_tab_and_break_become_spaces():
+    xml = ('<w:document xmlns:w="http://schemas.openxmlformats.org/wordprocessingml/2006/main">'
+           "<w:body><w:p><w:r><w:t>Doe,</w:t><w:tab/><w:t>J.</w:t><w:br/><w:t>Title</w:t>"
+           "</w:r></w:p></w:body></w:document>")
+    assert extract_docx_text(_docx_of(xml)) == ["Doe, J. Title"]
 
 
 _DOCX = corpus.make_docx(["References", "[1] Doe, J. (2020). A title. Venue."] * 4)
@@ -284,7 +346,7 @@ def test_text_patch_authors_read_back(tmp_path, authors, read):
     """The author list a text patch writes is the one extraction reads."""
     merged = MergedEntry(key="k", kind="journal", title="A Title", authors=authors,
                          year=2020, venue="Nature", doi=None, pmid=None, arxiv_id=None,
-                         volume=None, pages=None, extra_fields=(), verified=True)
+                         volume=None, pages=None, extra_fields=())
     path = tmp_path / "refs.txt"
     path.write_text(f"References\n[1] {patch_text_entry(merged)}\n", encoding="utf-8")
     assert extract_references(path).entries[0].authors == (read or authors)
@@ -331,6 +393,18 @@ def test_year_window_applies_to_freetext_only():
     # Free text: implausible numbers are not years.
     fields = parse_freetext_fields("Doe, J. Strange Item. Venue 4096, 12-19.")
     assert "year" not in fields
+
+
+def test_bibtex_date_gives_the_year_when_year_is_missing():
+    result = normalize_reference(_raw(origin="bibtex", key="k"),
+                                 {"title": "T", "date": "2019-05-01", "_entry_type": "article"})
+    assert result.year == 2019
+
+
+def test_freetext_author_lists():
+    assert split_freetext_authors("et al.") == []
+    assert split_freetext_authors("Doe, Jane; van der Berg, Hans") == [
+        ("Doe", "Jane"), ("van der Berg", "Hans")]
 
 
 def test_normalization_idempotent():

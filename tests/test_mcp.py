@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from citecheck import __version__, mcp_server
 from citecheck.cli import build_parser
 from citecheck.mcp_server import McpServer, tool_descriptors
-from citecheck.pipeline import COMMANDS, RunOptions, front_end_options, run_repair
+from citecheck.pipeline import COMMANDS, RunOptions, front_end_options, run_command, run_repair
 from citecheck.sources import transport
 
 EXPECTED_TOOLS = ["scan_workspace", "analyze_references", "plan_reference_rewrite",
@@ -25,9 +25,11 @@ EXPECTED_TOOLS = ["scan_workspace", "analyze_references", "plan_reference_rewrit
 def _exchange(lines: list[dict | str]) -> list[dict]:
     payload = "\n".join(
         line if isinstance(line, str) else json.dumps(line) for line in lines) + "\n"
-    stdout = io.StringIO()
+    # Strict UTF-8, as a pipe to the client is; a StringIO would take any str.
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     McpServer(stdin=io.StringIO(payload), stdout=stdout).serve()
-    return [json.loads(raw) for raw in stdout.getvalue().splitlines() if raw]
+    return [json.loads(raw) for raw in stdout.buffer.getvalue().decode("utf-8").splitlines()
+            if raw]
 
 
 def _call(name: str, arguments: dict, request_id: int = 7) -> dict:
@@ -82,6 +84,18 @@ def test_notifications_get_no_response():
     ])
     assert len(responses) == 1
     assert responses[0]["id"] == 9
+
+
+def test_blank_lines_non_objects_and_unknown_notifications():
+    """A blank line is skipped, a JSON value that is not an object is an
+    invalid request, and an unknown notification gets no reply."""
+    responses = _exchange(["", "   ", "[1, 2]", "3",
+                           {"jsonrpc": "2.0", "method": "notifications/bogus"},
+                           {"jsonrpc": "2.0", "id": 9, "method": "tools/list"}])
+    invalid = {"jsonrpc": "2.0", "id": None,
+               "error": {"code": -32600, "message": "invalid request"}}
+    assert responses[:2] == [invalid, invalid]
+    assert [r["id"] for r in responses[2:]] == [9]
 
 
 def test_tool_error_is_structured_not_fatal(tmp_path):
@@ -241,7 +255,8 @@ def test_workers_and_limit_reach_the_run(corpus_paths, monkeypatch):
 # Malformed requests: every request gets an answer and the loop goes on. Object
 # keys are never option names, so only the last strategy below sets options.
 _JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(st.characters() | st.characters(categories=["Cs"])),  # lone surrogates too
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
         st.text(max_size=8).filter(lambda k: k not in PIPELINE_OPTIONS), inner, max_size=3),
     max_leaves=8)
@@ -290,6 +305,28 @@ def test_unicode_line_breaks_stay_inside_their_message():
     responses = _exchange([{"jsonrpc": "2.0", "id": 1, "method": "tools/call",
                             "params": {"name": name}}])
     assert len(responses) == 1 and name in responses[0]["error"]["message"]
+
+
+def test_source_title_with_a_lone_surrogate_reaches_the_client(surrogate_title):
+    """A title holding the JSON escape \\ud800 goes out escaped again: the
+    client reads the report a fresh run prints, and the session goes on."""
+    folder, store = surrogate_title
+    arguments = {"path": str(folder), "transport": "replay", "fixtures_dir": str(store),
+                 "sources": ["crossref"]}
+    responses = _exchange([_call("analyze_references", arguments, request_id=1),
+                           {"jsonrpc": "2.0", "id": 2, "method": "tools/list"}])
+    assert [r["id"] for r in responses] == [1, 2]
+    text = responses[0]["result"]["content"][0]["text"]
+    assert text == run_command("analyze", RunOptions.from_arguments(arguments))[0]
+    assert json.loads(text)["entries"][0]["chosen"]["title"] == "Deep Learning \ud800"
+
+
+def test_tool_name_that_is_a_lone_surrogate_gets_a_reply():
+    responses = _exchange([{"jsonrpc": "2.0", "id": 1, "method": "tools/call",
+                            "params": {"name": "\ud800"}},
+                           {"jsonrpc": "2.0", "id": 2, "method": "tools/list"}])
+    assert responses[0]["error"] == {"code": -32601, "message": "unknown tool: \ud800"}
+    assert len(responses[1]["result"]["tools"]) == 6
 
 
 # Carry-over: a pipeline call starts from the session's settled outcomes.

@@ -82,7 +82,7 @@ def test_live_reports_are_deterministic(corpus_paths, monkeypatch):
 
 
 @pytest.mark.parametrize("folder", ["main", "mixed"])
-@pytest.mark.parametrize("fmt", [f for f in RENDER_FORMATS if f != "json"])
+@pytest.mark.parametrize("fmt", RENDER_FORMATS)
 def test_every_stage_renders_the_same_bibliography(corpus_paths, folder, fmt):
     """One rendering path: plan and repair print what analyze prints."""
     options = _options(corpus_paths, corpus_paths[folder], mode="replacement", fmt=fmt)
@@ -90,6 +90,27 @@ def test_every_stage_renders_the_same_bibliography(corpus_paths, folder, fmt):
     assert analyzed
     for stage in ("plan", "repair"):
         assert render_output(run_repair(options, stage=stage), fmt) == analyzed
+
+
+def test_a_bibliography_outside_the_folder_reads_the_same_from_any_checkout(tmp_path):
+    """A .tex naming ../shared/refs reports that file relative to its folder,
+    so the layout gives the same report wherever it lies but for the root."""
+    reports = []
+    for checkout in (tmp_path / "one", tmp_path / "two" / "deeper"):
+        (checkout / "shared").mkdir(parents=True)
+        (checkout / "shared" / "refs.bib").write_text(
+            "@article{k, title={Deep Learning}, year={2015}}\n", encoding="utf-8")
+        (checkout / "paper").mkdir()
+        (checkout / "paper" / "paper.tex").write_text(
+            "\\documentclass{article}\n\\begin{document}\n\\cite{k}\n"
+            "\\bibliography{../shared/refs}\n\\end{document}\n", encoding="utf-8")
+        report = run_repair(RunOptions(path=str(checkout / "paper"), transport="replay",
+                                       fixtures_dir=str(tmp_path / "store"), env={})).report
+        assert report["extraction"]["bib_resources"] == ["../shared/refs.bib"]
+        assert report["entries"][0]["source_path"] == "../shared/refs.bib"
+        del report["root"], report["scan"]["root"]
+        reports.append(report_json(report))
+    assert reports[0] == reports[1]
 
 
 def test_report_paths_are_relative_forward_slash(corpus_paths):

@@ -70,7 +70,6 @@ def test_keys_ascii_folded():
 # ---------------------------------------------------------------------------
 
 def test_empty_renders_are_valid_documents():
-    assert render_bibliography([], "json") == "[]"
     assert render_bibliography([], "bibtex") == ""
     assert render_bibliography([], "text") == ""
 
@@ -78,6 +77,9 @@ def test_empty_renders_are_valid_documents():
 def test_unknown_format_raises():
     with pytest.raises(UnsupportedFormat):
         render_bibliography([], "ris")
+    # `json` names the report, which a front end prints; no bibliography renders as it.
+    with pytest.raises(UnsupportedFormat):
+        render_bibliography([], "json")
 
 
 def test_bibtex_render_reparses_field_equal():

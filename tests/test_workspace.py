@@ -47,6 +47,33 @@ def test_hidden_directories_are_skipped(tmp_path):
     assert (".git", "hidden directory") in report.skipped_dirs
 
 
+def test_symlinks_are_not_followed(tmp_path):
+    outside = _touch(tmp_path / "outside" / "refs.bib", "@misc{a, title={T}}")
+    paper = tmp_path / "paper"
+    _touch(paper / "paper.bib", "@misc{b, title={T}}")
+    (paper / "linked.bib").symlink_to(outside)
+    (paper / "linked_dir").symlink_to(outside.parent, target_is_directory=True)
+    report = scan_workspace(paper)
+    assert [c.path for c in report.candidates] == ["paper.bib"]
+    assert report.skipped_dirs == ()
+
+
+def test_unreadable_subdirectory_is_recorded(tmp_path, monkeypatch):
+    # chmod does not stop root, so the listing itself is refused.
+    _touch(tmp_path / "paper.bib", "@misc{b, title={T}}")
+    _touch(tmp_path / "locked" / "refs.bib", "@misc{a, title={T}}")
+    iterdir = Path.iterdir
+
+    def refuse_locked(self):
+        if self.name == "locked":
+            raise PermissionError(13, "Permission denied")
+        return iterdir(self)
+    monkeypatch.setattr(Path, "iterdir", refuse_locked)
+    report = scan_workspace(tmp_path)
+    assert [c.path for c in report.candidates] == ["paper.bib"]
+    assert report.skipped_dirs == (("locked", "unreadable: Permission denied"),)
+
+
 def test_generated_directories_are_skipped(tmp_path):
     for name in ("node_modules", "target", "build", "dist", "out"):
         _touch(tmp_path / name / "x.bib", "@misc{a, title={T}}")

@@ -68,6 +68,10 @@ def run(argv: list[str] | None = None) -> int:
             print(__version__)
             return 0
         if command == "serve":
+            # MCP's stdio transport is UTF-8 whatever the locale. A byte that is
+            # not UTF-8 reads as a lone surrogate, which json.loads refuses like
+            # any other malformed line.
+            sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
             McpServer().serve()
             return 0
         options = RunOptions.from_arguments(args, scan=command == "scan")

@@ -69,7 +69,8 @@ def extract_references(artifact_path: str | Path) -> ExtractionResult:
     """Extract and normalize every reference in the artifact.
 
     Deterministic for fixed file bytes. Rejected raw entries are reported
-    in `result.rejected`, never dropped.
+    in `result.rejected`, and BibTeX that does not parse as `syntax_error`
+    lint findings: nothing is dropped unreported.
     """
     path = Path(artifact_path)
     origin = ORIGINS.get(path.suffix.lower().lstrip("."))
@@ -125,8 +126,17 @@ def _add_entries(result: ExtractionResult, path: Path, text: str, encoding: str,
 
 
 def _add_bib(result: ExtractionResult, path: Path, text: str, encoding: str) -> None:
+    parsed = parse_bibtex(text)
+    for error in parsed.errors:  # an entry that does not parse is not read, but reported
+        line = text.count("\n", 0, error.offset) + 1
+        result.lint.append(LintFinding(
+            code="syntax_error",
+            entry_ordinal=0,
+            message=f"{path.name} line {line}: {error.message}",
+            severity="error",
+        ))
     items = []
-    for entry in parse_bibtex(text).entries:
+    for entry in parsed.entries:
         fields = {name: bibtex_mod.strip_braces(value)
                   for name, value in entry.field_map().items()}
         fields["_entry_type"] = entry.entry_type

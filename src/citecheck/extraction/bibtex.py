@@ -14,9 +14,21 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+_WS_RE = re.compile(r"\s*")
 _ENTRY_START_RE = re.compile(r"@\s*([A-Za-z]+)\s*([{(])")
 _IDENT_RE = re.compile(r"[^\s,={}()\"#]+")
-_NUMBER_RE = re.compile(r"\d+")
+# A bare value part: decimal digits are tried first and stay literal, so an
+# @string named "2020" never expands the number 2020; anything else that
+# reads as a name ("²" included) is a macro name.
+_BARE_RE = re.compile(r"(\d+)|" + _IDENT_RE.pattern)
+_CLOSE = {"{": "}", "(": ")"}
+# The characters that move a delimited run's depth, each found by one regex
+# search. A @comment/@preamble block counts its own delimiters only; a braced
+# value counts braces and skips backslash escapes, and so does a quoted one,
+# which a quote at brace depth 0 closes. A trailing backslash escapes nothing.
+_BLOCK_TOKENS = {"{": re.compile(r"[{}]"), "(": re.compile(r"[()]")}
+_BRACED_TOKENS = re.compile(r"\\.|[{}]", re.S)
+_QUOTED_TOKENS = re.compile(r'\\.|[{}"]', re.S)
 
 
 @dataclass(frozen=True)
@@ -77,39 +89,15 @@ def char_to_byte_spans(text: str, spans: list[tuple[int, int]],
     return [(offsets[start], offsets[end]) for start, end in spans]
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise _SyntaxError(self.pos, f"expected {ch!r}, found {self.peek()!r}")
-        self.pos += 1
-
-
 class _SyntaxError(Exception):
-    def __init__(self, offset: int, message: str):
-        super().__init__(message)
-        self.offset = offset
-        self.message = message
+    """The (offset, message) of a BibParseError, raised out of the entry read."""
 
 
 def parse_bibtex(text: str) -> BibFile:
     """Parse BibTeX source; returns entries, per-entry errors, and the macro table."""
     result = BibFile()
     pos = 0
-    while True:
-        at = text.find("@", pos)
-        if at == -1:
-            break
+    while (at := text.find("@", pos)) != -1:
         m = _ENTRY_START_RE.match(text, at)
         if not m:
             pos = at + 1
@@ -117,182 +105,118 @@ def parse_bibtex(text: str) -> BibFile:
         entry_type = m.group(1).lower()
         try:
             if entry_type in ("comment", "preamble"):
-                pos = _skip_block(text, at, m.end() - 1)
-                continue
-            if entry_type == "string":
-                pos = _parse_string(text, at, m, result)
-                continue
-            entry, pos = _parse_entry(text, at, m, result.strings)
-            result.entries.append(entry)
+                pos = _balanced_end(text, m.end() - 1, _BLOCK_TOKENS[m.group(2)])
+                if pos == -1:
+                    raise _SyntaxError(at, "unterminated comment/preamble block")
+            elif entry_type == "string":
+                pos = _parse_string(text, m, result.strings)
+            else:
+                entry = _parse_entry(text, m, result.strings)
+                result.entries.append(entry)
+                pos = entry.span[1]
         except _SyntaxError as exc:
-            result.errors.append(BibParseError(exc.offset, exc.message))
-            pos = _resync(text, at + 1)
+            result.errors.append(BibParseError(*exc.args))
+            pos = at + 1  # recover at the next "@"
     return result
 
 
-def _resync(text: str, start: int) -> int:
-    """Recovery point: the next '@' at or after start."""
-    nxt = text.find("@", start)
-    return nxt if nxt != -1 else len(text)
-
-
-def _match_close(open_ch: str) -> str:
-    return "}" if open_ch == "{" else ")"
-
-
-def _skip_block(text: str, at: int, open_pos: int) -> int:
-    """Skip a brace-balanced @comment/@preamble block."""
+def _balanced_end(text: str, open_pos: int, tokens: re.Pattern[str]) -> int:
+    """End of the run whose opening delimiter is at open_pos, -1 if it never closes."""
+    opener = text[open_pos]
     depth = 0
-    open_ch = text[open_pos]
-    close_ch = _match_close(open_ch)
-    i = open_pos
-    while i < len(text):
-        ch = text[i]
-        if ch == open_ch:
+    for token in tokens.finditer(text, open_pos):
+        if token.group() == opener:
             depth += 1
-        elif ch == close_ch:
+        elif len(token.group()) == 1:  # the closer; an escape is two characters
             depth -= 1
             if depth == 0:
-                return i + 1
-        i += 1
-    raise _SyntaxError(at, "unterminated comment/preamble block")
+                return token.end()
+    return -1
 
 
-def _read_braced(sc: _Scanner) -> str:
-    start = sc.pos
-    sc.expect("{")
-    depth = 1
-    while sc.pos < len(sc.text):
-        ch = sc.text[sc.pos]
-        if ch == "\\" and sc.pos + 1 < len(sc.text):
-            sc.pos += 2
-            continue
-        if ch == "{":
+def _quoted_end(text: str, open_pos: int) -> int:
+    """End of the quoted value whose opening quote is at open_pos, -1 if it never closes."""
+    depth = 0
+    for token in _QUOTED_TOKENS.finditer(text, open_pos + 1):
+        char = token.group()
+        if char == "{":
             depth += 1
-        elif ch == "}":
+        elif char == "}":
             depth -= 1
-            if depth == 0:
-                sc.pos += 1
-                return sc.text[start + 1 : sc.pos - 1]
-        sc.pos += 1
-    raise _SyntaxError(start, "unterminated braced value")
+        elif char == '"' and depth == 0:
+            return token.end()
+    return -1
 
 
-def _read_quoted(sc: _Scanner) -> str:
-    start = sc.pos
-    sc.expect('"')
-    depth = 0  # braces still nest inside quoted values
-    while sc.pos < len(sc.text):
-        ch = sc.text[sc.pos]
-        if ch == "\\" and sc.pos + 1 < len(sc.text):
-            sc.pos += 2
-            continue
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        elif ch == '"' and depth == 0:
-            sc.pos += 1
-            return sc.text[start + 1 : sc.pos - 1]
-        sc.pos += 1
-    raise _SyntaxError(start, "unterminated quoted value")
+def _expect(text: str, pos: int, char: str) -> int:
+    """The position after `char`, which must come next after whitespace."""
+    pos = _WS_RE.match(text, pos).end()
+    if not text.startswith(char, pos):
+        raise _SyntaxError(pos, f"expected {char!r}, found {text[pos:pos + 1]!r}")
+    return pos + 1
 
 
-def _read_value(sc: _Scanner, strings: dict[str, str]) -> tuple[str, tuple[int, int]]:
-    """One field value: concatenation of parts joined by '#'."""
-    sc.skip_ws()
-    start = sc.pos
+def _read_value(text: str, pos: int, strings: dict[str, str]) -> tuple[str, tuple[int, int]]:
+    """The field value after pos: its parts joined by '#', expanded, and its span."""
+    start = pos = _WS_RE.match(text, pos).end()
     parts: list[str] = []
     while True:
-        sc.skip_ws()
-        ch = sc.peek()
-        if ch == "{":
-            parts.append(_read_braced(sc))
-        elif ch == '"':
-            parts.append(_read_quoted(sc))
-        elif m := _NUMBER_RE.match(sc.text, sc.pos):
-            parts.append(m.group(0))
-            sc.pos = m.end()
+        char = text[pos:pos + 1]
+        if char == "{" or char == '"':
+            braced = char == "{"
+            end = _balanced_end(text, pos, _BRACED_TOKENS) if braced else _quoted_end(text, pos)
+            if end == -1:
+                raise _SyntaxError(pos, f"unterminated {'braced' if braced else 'quoted'} value")
+            parts.append(text[pos + 1:end - 1])
+        elif bare := _BARE_RE.match(text, pos):
+            end = bare.end()
+            parts.append(bare.group() if bare.group(1) else
+                         strings.get(bare.group().lower(), bare.group()))
         else:
-            m = _IDENT_RE.match(sc.text, sc.pos)
-            if not m:
-                raise _SyntaxError(sc.pos, "expected a field value")
-            macro = m.group(0)
-            parts.append(strings.get(macro.lower(), macro))
-            sc.pos = m.end()
-        save = sc.pos
-        sc.skip_ws()
-        if sc.peek() == "#":
-            sc.pos += 1
-            continue
-        sc.pos = save
-        break
-    return "".join(parts), (start, sc.pos)
+            raise _SyntaxError(pos, "expected a field value")
+        pos = _WS_RE.match(text, end).end()
+        if not text.startswith("#", pos):
+            return "".join(parts), (start, end)
+        pos = _WS_RE.match(text, pos + 1).end()
 
 
-def _parse_string(text: str, at: int, m: re.Match[str], result: BibFile) -> int:
-    sc = _Scanner(text)
-    sc.pos = m.end()
-    close_ch = _match_close(m.group(2))
-    sc.skip_ws()
-    name_m = _IDENT_RE.match(text, sc.pos)
-    if not name_m:
-        raise _SyntaxError(sc.pos, "expected macro name in @string")
-    name = name_m.group(0).lower()
-    sc.pos = name_m.end()
-    sc.skip_ws()
-    sc.expect("=")
-    value, _ = _read_value(sc, result.strings)
-    sc.skip_ws()
-    sc.expect(close_ch)
-    result.strings[name] = value
-    return sc.pos
+def _parse_string(text: str, m: re.Match[str], strings: dict[str, str]) -> int:
+    """Read one @string and store its macro; returns the position after it."""
+    pos = _WS_RE.match(text, m.end()).end()
+    name = _IDENT_RE.match(text, pos)
+    if not name:
+        raise _SyntaxError(pos, "expected macro name in @string")
+    value, (_, end) = _read_value(text, _expect(text, name.end(), "="), strings)
+    end = _expect(text, end, _CLOSE[m.group(2)])
+    strings[name.group().lower()] = value
+    return end
 
 
-def _parse_entry(text: str, at: int, m: re.Match[str],
-                 strings: dict[str, str]) -> tuple[BibEntry, int]:
-    sc = _Scanner(text)
-    sc.pos = m.end()
-    close_ch = _match_close(m.group(2))
-    sc.skip_ws()
-    key_m = _IDENT_RE.match(text, sc.pos)
-    if not key_m:
-        raise _SyntaxError(sc.pos, f"missing citation key for @{m.group(1)}")
-    key = key_m.group(0)
-    key_span = (key_m.start(), key_m.end())
-    sc.pos = key_m.end()
-
+def _parse_entry(text: str, m: re.Match[str], strings: dict[str, str]) -> BibEntry:
+    close = _CLOSE[m.group(2)]
+    pos = _WS_RE.match(text, m.end()).end()
+    key = _IDENT_RE.match(text, pos)
+    if not key:
+        raise _SyntaxError(pos, f"missing citation key for @{m.group(1)}")
     fields: list[BibField] = []
+    pos = key.end()
     while True:
-        sc.skip_ws()
-        ch = sc.peek()
-        if ch == ",":
-            sc.pos += 1
-            sc.skip_ws()
-            ch = sc.peek()
-        if ch == close_ch:
-            sc.pos += 1
+        pos = _WS_RE.match(text, pos).end()
+        if text.startswith(",", pos):
+            pos = _WS_RE.match(text, pos + 1).end()
+        if text.startswith(close, pos):
             break
-        if ch == "":
-            raise _SyntaxError(at, f"unterminated entry {key!r}")
-        name_m = _IDENT_RE.match(text, sc.pos)
-        if not name_m:
-            raise _SyntaxError(sc.pos, f"expected field name in entry {key!r}")
-        name = name_m.group(0).lower()
-        sc.pos = name_m.end()
-        sc.skip_ws()
-        sc.expect("=")
-        value, value_span = _read_value(sc, strings)
-        fields.append(BibField(name=name, value=_clean_value(value), value_span=value_span))
-
-    entry = BibEntry(
-        entry_type=m.group(1).lower(),
-        key=key,
-        key_span=key_span,
-        span=(at, sc.pos),
-        fields=tuple(fields),
-    )
-    return entry, sc.pos
+        if pos == len(text):
+            raise _SyntaxError(m.start(), f"unterminated entry {key.group()!r}")
+        name = _IDENT_RE.match(text, pos)
+        if not name:
+            raise _SyntaxError(pos, f"expected field name in entry {key.group()!r}")
+        value, value_span = _read_value(text, _expect(text, name.end(), "="), strings)
+        fields.append(BibField(name=name.group().lower(), value=_clean_value(value),
+                               value_span=value_span))
+        pos = value_span[1]
+    return BibEntry(entry_type=m.group(1).lower(), key=key.group(), key_span=key.span(),
+                    span=(m.start(), pos + 1), fields=tuple(fields))
 
 
 def _clean_value(value: str) -> str:

@@ -9,7 +9,7 @@ from .. import textnorm
 ORIGIN_FORMATS = ("bibtex", "tex", "markdown", "plaintext", "docx")
 ENTRY_KINDS = ("journal", "conference", "preprint", "book", "other", "unknown")
 LINT_CODES = ("missing_field", "malformed_doi", "duplicate_key",
-              "suspicious_year", "empty_entry", "control_chars")
+              "suspicious_year", "empty_entry", "control_chars", "syntax_error")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from ..policy import PolicyDecision
 from ..sources import CandidateRecord
 from ..workspace import sidecar_path
 from .keys import assign_citation_keys
-from .models import ApplyResult, KeyMapping, Patch, RewritePlan
+from .models import WRITE_MODES, ApplyResult, KeyMapping, Patch, RewritePlan
 from .render import MergedEntry, bibtex_authors, merge_pairs, patch_text_entry
 
 
@@ -435,7 +435,7 @@ def apply_rewrite(plan: RewritePlan, write_mode: str) -> ApplyResult:
     plan, so byte offsets stay valid.
     `diff_text` shows the hunks around each patch with 3 lines of context.
     """
-    if write_mode not in ("preview", "sidecar", "replace"):
+    if write_mode not in WRITE_MODES:
         raise ValueError(f"unknown write mode: {write_mode}")
     if plan.blocked and write_mode in ("sidecar", "replace"):
         details = ", ".join(f"{k}={v}" for k, v in sorted(plan.safety.items()) if v)

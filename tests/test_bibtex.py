@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bibtex_by_hand import parse_bibtex as parse_bibtex_by_hand
 from citecheck.errors import CitecheckError
 from citecheck.extraction.bibtex import char_to_byte_spans, parse_bibtex
 
@@ -185,3 +186,41 @@ def test_parse_bibtex_raises_only_citecheck_errors(text):
     except CitecheckError:
         return
     assert all(0 <= e.span[0] < e.span[1] <= len(text) for e in result.entries)
+
+
+# ---------------------------------------------------------------------------
+# The regex tokenizer reads as the per-character scanner did
+# ---------------------------------------------------------------------------
+
+# Entry heads of every kind and both delimiters, nesting and unbalanced
+# delimiters, escapes (a draw may end on a lone backslash), concatenation,
+# numbers, a digit that is not decimal ("²") and one that is ("١"), and
+# whitespace beyond ASCII that str.isspace knows ("\x1c", "\u3000").
+_PIECES = ["@article{", "@misc(", "@string{", "@STRING(", "@comment{", "@preamble(",
+           "@ Comment {", "@", "k", "title", "jn", "=", ",", "{", "}", "(", ")", '"', "#",
+           "\\", "\\{", "\\}", '\\"', " ", "\n", "\x1c", "\u3000", "2020", "²", "١٢", "é"]
+
+
+def _parsed(result) -> tuple:
+    """Every entry (type, key, spans, fields), every error and the macro table."""
+    return result.entries, result.errors, result.strings
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(st.one_of(_BIB_TEXT, st.lists(st.sampled_from(_PIECES), max_size=40).map("".join)))
+@example("@string{2020 = {x}} @misc{k, year = 2020 # ², t = 2020x}")
+@example('@misc{k, t = "a}b"c{"d"}')
+@example("@comment{\\}@misc{k, t = {a\\}}}} @preamble(a (b) {c)")
+@example("@string{١٢ = {x}} @misc{k, t = ١٢ # ²}")
+@example('@misc{k, t = {x} # "y\\"z" # {\\')
+@example("@string(jn = {J} # \x1c jn\x1c) @misc\x1c(k\x1c,\x1ct=jn)")
+def test_regex_tokenizer_matches_the_character_scanner(text):
+    assert _parsed(parse_bibtex(text)) == _parsed(parse_bibtex_by_hand(text))
+
+
+def test_regex_tokenizer_matches_the_character_scanner_on_the_corpus(corpus_paths):
+    bibs = sorted(corpus_paths["main"].parent.rglob("*.bib"))
+    assert bibs
+    for bib in bibs:
+        text = bib.read_text(encoding="utf-8")
+        assert _parsed(parse_bibtex(text)) == _parsed(parse_bibtex_by_hand(text)), bib

@@ -8,11 +8,13 @@ import os
 import shutil
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
 
 from citecheck.cli import run
+from citecheck.extraction.docx import DOCUMENT_XML_MAX_BYTES
 from citecheck.pipeline import RunOptions, run_command
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -61,8 +63,9 @@ def test_no_command_exits_64(capsys):
 
 
 def test_serve_answers_on_standard_streams(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(
-        '{"jsonrpc": "2.0", "id": 1, "method": "tools/list"}\n'))
+    # A text layer over bytes, as a process's standard input is.
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(
+        b'{"jsonrpc": "2.0", "id": 1, "method": "tools/list"}\n')))
     assert run(["serve"]) == 0
     assert len(json.loads(capsys.readouterr().out)["result"]["tools"]) == 6
 
@@ -77,6 +80,23 @@ def test_scan_outputs_report(tmp_path, capsys):
 def test_scan_missing_root_exits_2(tmp_path, capsys):
     assert run(["scan", "--path", str(tmp_path / "ghost")]) == 2
     assert "RootNotFound" in capsys.readouterr().err
+
+
+def test_docx_that_inflates_past_the_cap_exits_2(tmp_path, capsys):
+    """A small .docx whose document.xml inflates past the read cap is refused
+    with one stderr line, not read whole."""
+    paper = tmp_path / "paper"
+    paper.mkdir()
+    xml = (b'<w:document xmlns:w="http://schemas.openxmlformats.org/wordprocessingml/2006/main">'
+           b"<w:body><w:p><w:r><w:t>" + b"a" * DOCUMENT_XML_MAX_BYTES
+           + b"</w:t></w:r></w:p></w:body></w:document>")
+    with zipfile.ZipFile(paper / "paper.docx", "w", zipfile.ZIP_DEFLATED) as archive:
+        archive.writestr("word/document.xml", xml)
+    assert (paper / "paper.docx").stat().st_size < 100_000
+    assert run(["analyze", "--path", str(paper), "--transport", "replay",
+                "--fixtures-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "CorruptArchive" in err
 
 
 def test_repair_clean_corpus_exits_0(corpus_paths, capsys):
@@ -116,11 +136,23 @@ def test_title_without_content_words_gets_a_report(tmp_path, capsys):
                for e in report["entries"] for step in e["evidence"])
 
 
-def _citecheck_strict_utf8(*argv: str) -> subprocess.CompletedProcess:
+def _citecheck_strict_utf8(*argv: str, stdin: bytes | None = None) -> subprocess.CompletedProcess:
     """`citecheck` in a child process whose stdout refuses what UTF-8 cannot encode."""
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8")
     return subprocess.run([sys.executable, "-m", "citecheck.cli", *argv], env=env,
-                          capture_output=True)
+                          capture_output=True, input=stdin)
+
+
+@pytest.mark.parametrize("line", [b"\xff", b"[" * 100_000], ids=["not-utf-8", "nested-too-deep"])
+def test_serve_answers_a_malformed_line_and_the_next(line):
+    """Over a byte pipe, a line that is not UTF-8 or that nests too deeply for
+    json.loads gets the parse-error reply, and the server reads on."""
+    tools_list = b'{"jsonrpc": "2.0", "id": 1, "method": "tools/list"}'
+    proc = _citecheck_strict_utf8("serve", stdin=line + b"\n" + tools_list + b"\n")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    parse_error, listed = [json.loads(reply) for reply in proc.stdout.splitlines()]
+    assert (parse_error["id"], parse_error["error"]["code"]) == (None, -32700)
+    assert len(listed["result"]["tools"]) == 6
 
 
 def test_source_title_with_a_lone_surrogate_ends_in_a_report(surrogate_title):

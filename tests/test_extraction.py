@@ -459,6 +459,21 @@ def test_extract_rejects_reported_not_dropped(tmp_path):
     assert result.rejected[0].raw.ordinal == 6
 
 
+def test_bibtex_syntax_errors_are_lint_findings(tmp_path):
+    path = tmp_path / "refs.bib"
+    path.write_text("@article{good1, title={A}, year={2001}}\n"
+                    "@article{broken, title={unterminated\n"
+                    "@article{, title={No key}}\n"
+                    "@article{good2, title={B}, year={2002}}\n", encoding="utf-8")
+    result = extract_references(path)
+    assert [e.raw.citation_key for e in result.entries] == ["good1", "good2"]
+    assert [(f.code, f.entry_ordinal, f.severity, f.message)
+            for f in result.lint if f.code == "syntax_error"] == [
+        ("syntax_error", 0, "error", "refs.bib line 2: unterminated braced value"),
+        ("syntax_error", 0, "error", "refs.bib line 3: missing citation key for @article"),
+    ]
+
+
 def test_unsupported_extension(tmp_path):
     path = tmp_path / "refs.pdf"
     path.write_text("x")

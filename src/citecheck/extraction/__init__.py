@@ -13,6 +13,7 @@ downstream.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NamedTuple
 
 from ..errors import UnreadableFile, UnsupportedFormat
 from . import bibtex as bibtex_mod
@@ -23,8 +24,8 @@ from .lint import lint_bibliography
 from .models import (ExtractionResult, LintFinding, RawReference, ReferenceInput,
                      RejectedReference)
 from .normalize import normalize_reference
-from .text import (detect_reference_section, parse_freetext_fields, segment_references,
-                   strip_markdown_links)
+from .text import (detect_reference_section, marker_length, parse_freetext_fields,
+                   segment_references, strip_markdown_links)
 
 __all__ = [
     "ExtractionResult", "LintFinding", "RawReference", "ReferenceInput",
@@ -100,25 +101,45 @@ def extract_references(artifact_path: str | Path) -> ExtractionResult:
     return result
 
 
+class _Item(NamedTuple):
+    """One entry found in an artifact's text, its spans in characters."""
+
+    span: tuple[int, int]
+    fields: dict[str, str]
+    key: str | None = None
+    key_span: tuple[int, int] | None = None
+    field_spans: tuple[tuple[str, tuple[int, int]], ...] = ()
+    head_length: int = 0
+    body_on_own_line: bool = False
+
+
 def _add_entries(result: ExtractionResult, path: Path, text: str, encoding: str,
-                 origin: str,
-                 items: list[tuple[tuple[int, int], dict[str, str], str | None]]) -> None:
-    """File each (character span, fields, citation key) item of `text` as an
-    entry or a reject: spans become byte spans into `path`'s bytes in one
-    pass, and ordinals go on from the entries and rejects already in `result`.
+                 origin: str, items: list[_Item]) -> None:
+    """File each item of `text` as an entry or a reject: every span becomes a
+    byte span into `path`'s bytes in one pass, and ordinals go on from the
+    entries and rejects already in `result`.
     """
-    spans = char_to_byte_spans(text, [span for span, _, _ in items], encoding)
+    spans: list[tuple[int, int]] = []
+    for item in items:
+        spans += [item.span] if item.key_span is None else [item.span, item.key_span]
+        spans += [span for _, span in item.field_spans]
+    byte_spans = iter(char_to_byte_spans(text, spans, encoding))
     base = len(result.entries) + len(result.rejected)
-    for i, (((start, end), fields, key), span) in enumerate(zip(items, spans)):
-        raw = RawReference(
-            source_span=span,
+    for i, item in enumerate(items):
+        start, end = item.span
+        raw = RawReference(  # arguments are evaluated in order: spans as listed above
+            source_span=next(byte_spans),
+            key_span=None if item.key_span is None else next(byte_spans),
+            field_spans=tuple((name, next(byte_spans)) for name, _ in item.field_spans),
             original_text=text[start:end],
             origin_format=origin,
             ordinal=base + i + 1,
-            citation_key=key,
+            citation_key=item.key,
             source_path=str(path),
+            head_length=item.head_length,
+            body_on_own_line=item.body_on_own_line,
         )
-        outcome = normalize_reference(raw, fields)
+        outcome = normalize_reference(raw, item.fields)
         if isinstance(outcome, RejectedReference):
             result.rejected.append(outcome)
         else:
@@ -140,7 +161,8 @@ def _add_bib(result: ExtractionResult, path: Path, text: str, encoding: str) -> 
         fields = {name: bibtex_mod.strip_braces(value)
                   for name, value in entry.field_map().items()}
         fields["_entry_type"] = entry.entry_type
-        items.append((entry.span, fields, entry.key))
+        items.append(_Item(entry.span, fields, entry.key, entry.key_span,
+                           tuple((f.name, f.value_span) for f in entry.fields)))
     _add_entries(result, path, text, encoding, "bibtex", items)
 
 
@@ -164,7 +186,9 @@ def _add_tex(result: ExtractionResult, path: Path, text: str, encoding: str) -> 
     items = latex_mod.extract_bibitems(text)
     if items:
         _add_entries(result, path, text, encoding, "tex",
-                     [(item.span, parse_freetext_fields(item.text), None) for item in items])
+                     [_Item(item.span, parse_freetext_fields(item.text),
+                            head_length=item.head_length, body_on_own_line=True)
+                      for item in items])
     else:
         # No bib resources and no bibitems: fall back to a plain references section.
         _add_section(result, path, text, encoding, latex_mod.strip_comments(text))
@@ -187,5 +211,6 @@ def _add_section(result: ExtractionResult, path: Path, text: str, encoding: str,
         cleaned = search_text[start:end]
         if result.origin_format == "markdown":
             cleaned = strip_markdown_links(cleaned)
-        items.append(((start, end), parse_freetext_fields(cleaned), None))
+        items.append(_Item((start, end), parse_freetext_fields(cleaned),
+                           head_length=marker_length(text[start:end])))
     _add_entries(result, path, text, encoding, result.origin_format, items)

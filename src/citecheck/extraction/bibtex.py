@@ -53,12 +53,6 @@ class BibEntry:
             out.setdefault(f.name, f.value)
         return out
 
-    def get_field(self, name: str) -> BibField | None:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        return None
-
 
 @dataclass(frozen=True)
 class BibParseError:
@@ -79,7 +73,10 @@ def char_to_byte_spans(text: str, spans: list[tuple[int, int]],
 
     One forward pass: each stretch between consecutive span boundaries is
     encoded once, so converting every entry of a file stays linear in it.
+    Where every character is one byte, the spans are their own byte spans.
     """
+    if encoding == "latin-1" or text.isascii():
+        return list(spans)
     offsets: dict[int, int] = {}
     char = byte = 0
     for pos in sorted({pos for span in spans for pos in span}):

@@ -66,6 +66,7 @@ class BibItem:
     key: str
     span: tuple[int, int]  # char span covering the \bibitem block
     text: str  # cleaned body text (LaTeX markup stripped)
+    head_length: int  # characters of the \bibitem[..]{..} head
 
 
 def extract_bibitems(tex_source: str) -> list[BibItem]:
@@ -81,7 +82,7 @@ def extract_bibitems(tex_source: str) -> list[BibItem]:
             end = env_end.start() if env_end else len(cleaned)
         body = cleaned[m.end():end]
         items.append(BibItem(key=m.group(1).strip(), span=(m.start(), end),
-                             text=strip_latex_markup(body)))
+                             text=strip_latex_markup(body), head_length=m.end() - m.start()))
     return items
 
 

@@ -18,7 +18,10 @@ class RawReference:
 
     `source_span` is a byte range into `source_path`'s bytes (for docx, into
     the extracted paragraph text encoded as UTF-8). `original_text` must
-    round-trip exactly, because the rewrite engine patches by these offsets.
+    round-trip exactly, because the rewrite engine patches by these offsets,
+    and by the rest, so that it never parses an entry again: BibTeX's key
+    and field value byte spans (delimiters included, in entry order), and
+    the characters heading a text entry (a list marker or \\bibitem head).
     """
 
     source_span: tuple[int, int]
@@ -27,6 +30,10 @@ class RawReference:
     ordinal: int
     citation_key: str | None = None  # bibtex only
     source_path: str = ""
+    key_span: tuple[int, int] | None = None  # bibtex only
+    field_spans: tuple[tuple[str, tuple[int, int]], ...] = ()  # bibtex only
+    head_length: int = 0
+    body_on_own_line: bool = False  # a \bibitem's body goes on the lines after its head
 
     def __post_init__(self) -> None:
         start, end = self.source_span

@@ -124,14 +124,10 @@ def segment_references(text: str, span: tuple[int, int]) -> list[tuple[int, int]
     return trimmed
 
 
-def strip_entry_marker(text: str) -> str:
-    return _MARKER_RE.sub("", text, count=1)
-
-
-def entry_marker(text: str) -> str | None:
-    """The literal numbering marker ("[3] ", "4. ") at the head of an entry."""
+def marker_length(text: str) -> int:
+    """The length of the numbering marker ("[3] ", "4. ") heading an entry, 0 if none."""
     m = _MARKER_RE.match(text)
-    return m.group(0) if m else None
+    return m.end() if m else 0
 
 
 def first_plausible_year(text: str) -> int | None:
@@ -159,7 +155,8 @@ def _split_sentences(text: str) -> list[str]:
 
 def parse_freetext_fields(entry_text: str) -> dict[str, str]:
     """Heuristic field map {author, title, venue, year, doi, pmid, arxiv} from one entry."""
-    text = strip_entry_marker(entry_text.replace("\n", " "))
+    text = entry_text.replace("\n", " ")
+    text = text[marker_length(text):]
     text = re.sub(r"\s+", " ", text).strip()
     fields: dict[str, str] = {}
 

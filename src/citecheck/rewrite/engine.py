@@ -18,16 +18,13 @@ import difflib
 import hashlib
 import itertools
 import json
-from dataclasses import replace
 from pathlib import Path
 
 from .. import textnorm
 from ..errors import AlignmentMismatch, BlockedByPolicy, StaleFile, WriteDenied
 from ..extraction import ExtractionResult, decode_exact, read_text_exact
-from ..extraction.bibtex import BibEntry, char_to_byte_spans, parse_bibtex
-from ..extraction.latex import BIBITEM_RE, find_cited_keys
+from ..extraction.latex import find_cited_keys
 from ..extraction.models import RawReference, ReferenceInput
-from ..extraction.text import entry_marker
 from ..matching import BLOCKING_ISSUES, EntryVerdict
 from ..policy import PolicyDecision
 from ..sources import CandidateRecord
@@ -135,7 +132,9 @@ def _field_diffs(entry: ReferenceInput, merged: MergedEntry) -> list[tuple[str, 
 def _unmoved_codec(raw: RawReference, files: dict[str, tuple[bytes, str]]) -> str | None:
     """The codec of the entry's file if its planned bytes still hold the
     extracted text at the extracted span; None if not, as a patch there
-    would land on whatever moved in."""
+    would land on whatever moved in. Where it holds, the spans recorded
+    inside the entry hold too: either the codec is extraction's, or the
+    entry is ASCII, whose bytes are the same in either."""
     data, encoding = files.get(raw.source_path, (b"", "utf-8"))
     start, end = raw.source_span
     try:
@@ -145,76 +144,46 @@ def _unmoved_codec(raw: RawReference, files: dict[str, tuple[bytes, str]]) -> st
     return encoding if data[start:end] == expected else None
 
 
-def _locate_bib_entry(raw: RawReference,
-                      files: dict[str, tuple[bytes, str]]) -> BibEntry | None:
-    """The entry parsed alone, key and field value spans shifted to byte
-    offsets into the planned bytes of its file (@string macros change values,
-    not spans). None when those bytes no longer hold the extracted text.
-    """
-    encoding = _unmoved_codec(raw, files)
-    if encoding is None:
-        return None
-    start = raw.source_span[0]
-    entry = parse_bibtex(raw.original_text).entries[0]
-    spans = char_to_byte_spans(raw.original_text,
-                               [entry.key_span] + [f.value_span for f in entry.fields],
-                               encoding)
-    key_span, *value_spans = [(start + s, start + e) for s, e in spans]
-    return replace(entry, key_span=key_span, fields=tuple(
-        replace(f, value_span=span) for f, span in zip(entry.fields, value_spans)))
-
-
 def _plan_bibtex_patches(entry: ReferenceInput, diffs: list[tuple[str, str]],
                          new_key: str | None,
                          files: dict[str, tuple[bytes, str]]) -> list[Patch]:
-    """Field updates for `diffs` and a rename to `new_key`, either optional."""
-    if not diffs and new_key is None:
-        return []
-    bib_entry = _locate_bib_entry(entry.raw, files)
-    if bib_entry is None:
+    """Field updates for `diffs` and a rename to `new_key`, either optional,
+    on the spans extraction recorded."""
+    raw = entry.raw
+    if (not diffs and new_key is None) or _unmoved_codec(raw, files) is None:
         return []
     edits: list[tuple[tuple[int, int], str, str]] = []  # (span, text, kind)
     additions: list[str] = []
     for name, value in diffs:
-        bib_field = bib_entry.get_field(name)
-        if bib_field is not None:
-            edits.append((bib_field.value_span, "{%s}" % value, "field_update"))
+        # The first field of a name is the one read, as in BibEntry.field_map.
+        span = next((span for field, span in raw.field_spans if field == name), None)
+        if span is not None:
+            edits.append((span, "{%s}" % value, "field_update"))
         else:
             additions.append(",\n  %s = {%s}" % (name, value))
     if additions:
-        if bib_entry.fields:
-            anchor = bib_entry.fields[-1].value_span[1]
-        else:
-            anchor = bib_entry.key_span[1]
+        anchor = (raw.field_spans[-1][1] if raw.field_spans else raw.key_span)[1]
         edits.append(((anchor, anchor), "".join(additions), "field_update"))
     if new_key is not None:
-        edits.append((bib_entry.key_span, new_key, "key_rename"))
-    return [Patch(target_path=entry.raw.source_path, span=span, replacement_text=text,
+        edits.append((raw.key_span, new_key, "key_rename"))
+    return [Patch(target_path=raw.source_path, span=span, replacement_text=text,
                   entry_ordinal=entry.ordinal, kind=kind) for span, text, kind in edits]
 
 
 def _plan_text_patches(entry: ReferenceInput, diffs: list[tuple[str, str]],
                        merged: MergedEntry, files: dict[str, tuple[bytes, str]]) -> list[Patch]:
-    if entry.raw.origin_format == "docx":
+    raw = entry.raw
+    if raw.origin_format == "docx":
         return []  # review-only format, no write-back path
     # Authors alone call for no rewrite: not every author list reads back as
     # written (see patch_text_entry), and such an entry would be patched on every run.
-    if (all(name == "author" for name, _ in diffs)
-            or _unmoved_codec(entry.raw, files) is None):
+    if all(name == "author" for name, _ in diffs) or _unmoved_codec(raw, files) is None:
         return []
-    body = patch_text_entry(merged)
-    original = entry.raw.original_text
-    if entry.raw.origin_format == "tex" and original.lstrip().startswith("\\bibitem"):
-        # The head as extraction read it, optional [label] and {key} included.
-        head = BIBITEM_RE.match(original, len(original) - len(original.lstrip()))
-        if head is None:
-            return []
-        replacement = original[: head.end()] + "\n" + body + "\n"
-    else:
-        replacement = (entry_marker(original) or "") + body
+    head, body = raw.original_text[:raw.head_length], patch_text_entry(merged)
+    replacement = f"{head}\n{body}\n" if raw.body_on_own_line else head + body
     return [Patch(
-        target_path=entry.raw.source_path,
-        span=entry.raw.source_span,
+        target_path=raw.source_path,
+        span=raw.source_span,
         replacement_text=replacement,
         entry_ordinal=entry.ordinal,
         kind="entry_replace",

@@ -84,7 +84,7 @@ def test_spans_reproduce_source_exactly():
     assert text[start:end].startswith("@article{k1")
     assert text[start:end].endswith("}")
     # Field value span covers the raw delimited value.
-    title = entry.get_field("title")
+    title = next(f for f in entry.fields if f.name == "title")
     assert text[title.value_span[0]:title.value_span[1]] == "{Exact}"
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import corpus
 from catalog import CatalogSession
 from citecheck.errors import BlockedByPolicy, StaleFile, UnsupportedFormat, WriteDenied
-from citecheck.extraction import extract_references, parse_bibtex
+from citecheck.extraction import decode_exact, extract_references, parse_bibtex
 from citecheck.extraction.latex import extract_bibitems
 from citecheck import textnorm
 from citecheck.matching import TITLE_MISMATCH_THRESHOLD, title_similarity, verify_entries
@@ -839,3 +839,75 @@ def test_near_twin_title_with_the_twins_doi_keeps_its_title():
     assert title_similarity(first.title, second.title) >= TITLE_MISMATCH_THRESHOLD
     [before], [after] = _replacement_run([dataclasses.replace(first, doi=second.doi)])
     assert after.title == before.title == first.title
+
+
+# --------------------------------------------------------------------------
+# Patches planned on the spans extraction recorded
+# --------------------------------------------------------------------------
+
+_BIB_VALUES = st.sampled_from(["{Plain}", "{Ünïcödé Łódź}", '"Quoted {Brace}"', "2020",
+                               "jan", "mac # { Suffix}", "{Ŧ} # \" ü\"", "{}"])
+
+
+@st.composite
+def _bib_files(draw):
+    """A .bib of a few entries with duplicate fields, macros, quoted values,
+    `(` entries and multi-byte text, and the codec it is written in."""
+    entries = ['@string{mac = "Macro Ü"}']
+    for i in range(draw(st.integers(1, 4))):
+        names = draw(st.lists(st.sampled_from(["title", "author", "year", "journal",
+                                               "doi", "note"]), max_size=5))
+        body = ",".join(f"\n  {name} = {draw(_BIB_VALUES)}" for name in names)
+        open_, close = draw(st.sampled_from([("{", "}"), ("(", ")")]))
+        key = draw(st.sampled_from(["k", "Ключ", "é2020"])) + str(i)
+        entries.append(f"@article{open_}{key},{body}{draw(st.sampled_from(['', ',']))}\n{close}")
+    text = draw(st.sampled_from(["", "ß prélude\n"])) + "\n\n".join(entries) + "\n"
+    encoding = draw(st.sampled_from(["utf-8", "latin-1"]))
+    return text.encode(encoding, errors="replace")
+
+
+def _same_plans_as_the_reparse(path: Path) -> None:
+    import locate_by_parse
+    from citecheck.rewrite.engine import _plan_bibtex_patches
+
+    extraction = extract_references(path)
+    raw_bytes = path.read_bytes()
+    files = {str(path): (raw_bytes, decode_exact(raw_bytes)[1])}
+    for entry in extraction.entries:
+        located = locate_by_parse._locate_bib_entry(entry.raw, files)
+        assert entry.raw.key_span == located.key_span
+        assert entry.raw.field_spans == tuple((f.name, f.value_span) for f in located.fields)
+        for diffs, new_key in ([], "renamed"), ([("title", "T"), ("volume", "7")], None), (
+                [("year", "1999"), ("doi", "10.1/x"), ("booktitle", "B")], "k2"):
+            assert (_plan_bibtex_patches(entry, diffs, new_key, files)
+                    == locate_by_parse.plan_bibtex_patches(entry, diffs, new_key, files))
+
+
+def test_recorded_spans_plan_what_a_reparse_plans_on_the_corpus(corpus_paths):
+    bibs = sorted(Path(corpus_paths["main"]).parent.rglob("*.bib"))
+    assert bibs
+    for bib in bibs:
+        _same_plans_as_the_reparse(bib)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bib_files())
+def test_recorded_spans_plan_what_a_reparse_plans(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "refs.bib"
+        path.write_bytes(data)
+        _same_plans_as_the_reparse(path)
+
+
+def test_rewrite_imports_no_input_grammar():
+    """Planning works on recorded spans: of extraction's grammars, rewrite/
+    imports only the cite-command scan of .tex files."""
+    import ast
+
+    imported = set()
+    for module in (Path(__file__).parents[1] / "src" / "citecheck" / "rewrite").glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                imported |= {(node.module.lstrip("."), a.name) for a in node.names}
+    assert not {m for m, _ in imported} & {"extraction.bibtex", "extraction.text"}
+    assert {n for m, n in imported if m == "extraction.latex"} <= {"find_cited_keys"}

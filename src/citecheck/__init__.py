@@ -7,7 +7,7 @@ policy-gated rewrite patches. Available as a library, a CLI
 (``citecheck``), and an MCP stdio server (``citecheck serve``).
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .errors import CitecheckError  # noqa: E402
 from .workspace import ScanReport, scan_workspace, select_primary_artifact  # noqa: E402

@@ -6,8 +6,9 @@ order strictly (any batch that passes strict passes default, any that
 passes default passes lenient) and the property suite holds them to it.
 
 The replacement gate is separate from the exit decision: duplicate keys,
-unsafe key rewrites, or manifestation conflicts block write-back outright,
-whatever the ratios look like.
+BibTeX entries that do not parse (whose extent is unknown), unsafe key
+rewrites, or manifestation conflicts block write-back outright, whatever the
+ratios look like.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ EXIT_OPERATIONAL_FAIL = 2
 
 # What each `BatchSummary.safety` count counts, as its blocking reason says.
 _SAFETY_LABELS = {"duplicate_keys": "duplicate-key findings",
+                  "syntax_errors": "BibTeX entries that do not parse",
                   "unsafe_key_rewrites": "unsafe key rewrites",
                   "manifestation_conflicts": "manifestation conflicts"}
 
@@ -39,11 +41,13 @@ class BatchSummary:
     duplicate_key_count: int = 0
     manifestation_conflict_count: int = 0
     unsafe_key_rewrite_count: int = 0
+    syntax_error_count: int = 0
 
     @property
     def safety(self) -> dict[str, int]:
         """The counts that block write-back whatever the ratios, by name."""
         return {"duplicate_keys": self.duplicate_key_count,
+                "syntax_errors": self.syntax_error_count,
                 "unsafe_key_rewrites": self.unsafe_key_rewrite_count,
                 "manifestation_conflicts": self.manifestation_conflict_count}
 
@@ -63,6 +67,7 @@ class BatchSummary:
             "duplicate_key_count": self.duplicate_key_count,
             "manifestation_conflict_count": self.manifestation_conflict_count,
             "unsafe_key_rewrite_count": self.unsafe_key_rewrite_count,
+            "syntax_error_count": self.syntax_error_count,
         }
 
 
@@ -132,8 +137,7 @@ def summarize_batch(verdicts: list[EntryVerdict],
             if outcome.failed:
                 failures[outcome.failure.failure] = failures.get(outcome.failure.failure, 0) + 1
 
-    duplicate_count = sum(1 for finding in (lint_findings or [])
-                          if finding.code == "duplicate_key")
+    codes = [finding.code for finding in lint_findings or []]
 
     def ratio(status: str) -> float:
         return counts[status] / total if total else 0.0
@@ -145,9 +149,10 @@ def summarize_batch(verdicts: list[EntryVerdict],
         unresolved_ratio=ratio("unresolved"),
         not_checked_ratio=ratio("not_checked"),
         failures_by_class=tuple(sorted(failures.items())),
-        duplicate_key_count=duplicate_count,
+        duplicate_key_count=codes.count("duplicate_key"),
         manifestation_conflict_count=conflict_count,
         unsafe_key_rewrite_count=unsafe_key_rewrite_count,
+        syntax_error_count=codes.count("syntax_error"),
     )
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import difflib
 import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -196,6 +197,25 @@ def test_duplicate_keys_zero_patches(corpus_paths):
     assert plan.safety["duplicate_keys"] >= 2
 
 
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_an_entry_that_does_not_parse_blocks_replacement(replay_options, corpus_paths,
+                                                         tmp_path, preset):
+    """biomed passes every preset's gate; with an unterminated entry appended,
+    whose extent nobody knows, no preset allows replacement."""
+    folder = tmp_path / "biomed"
+    shutil.copytree(corpus_paths["biomed"], folder)
+    clean = run_repair(replay_options(folder, mode="replacement", preset=preset), stage="plan")
+    assert clean.decision.replacement_allowed
+    with (folder / "biomed.bib").open("a", encoding="utf-8") as bib:
+        bib.write("@article{cut, title={Unterminated, year={2020}}\n")
+    run = run_repair(replay_options(folder, mode="replacement", preset=preset), stage="plan")
+    assert not run.decision.replacement_allowed
+    assert ("replacement_blocked_syntax_errors", "1 BibTeX entries that do not parse"
+            ) in run.decision.reasons
+    assert run.plan.blocked and run.plan.patches == ()
+    assert run.plan.safety["syntax_errors"] == 1
+
+
 @pytest.mark.parametrize("folder", ["duplicates", "manifestation", "main"])
 def test_plan_safety_is_the_policy_summary(replay_options, corpus_paths, folder):
     """The plan's safety counts are the decision summary's, and those count
@@ -205,11 +225,14 @@ def test_plan_safety_is_the_policy_summary(replay_options, corpus_paths, folder)
                                     regenerate_keys=True), stage="plan")
     summary = run.decision.summary
     assert run.plan.safety == {"duplicate_keys": summary.duplicate_key_count,
+                               "syntax_errors": summary.syntax_error_count,
                                "unsafe_key_rewrites": summary.unsafe_key_rewrite_count,
                                "manifestation_conflicts": summary.manifestation_conflict_count}
     assert summary.duplicate_key_count == sum(f.code == "duplicate_key"
                                               for f in run.extraction.lint)
     assert summary.unsafe_key_rewrite_count == run.plan.key_mapping.unsafe_rewrite_count()
+    assert summary.syntax_error_count == sum(f.code == "syntax_error"
+                                             for f in run.extraction.lint)
     assert summary.manifestation_conflict_count == sum(
         any(i.code == "manifestation_conflict" for i in v.issues) for v in run.verdicts)
 

@@ -28,8 +28,7 @@ _UNREADABLE_ARCHIVE = (zipfile.BadZipFile, ValueError, EOFError, zlib.error, lzm
                        OSError, RuntimeError, NotImplementedError)
 
 # The most of word/document.xml that is read, inflated. The largest in the
-# test and benchmark corpora is 13 KB, and analyze of a document just under
-# the cap peaks near 100 MB of RSS. A member that inflates past the cap is
+# test and benchmark corpora is 13 KB. A member that inflates past the cap is
 # refused once the cap is read, not held whole (a 102 KB .docx can inflate to
 # 100 MiB). It is read, not sized, since its header's file_size can lie.
 DOCUMENT_XML_MAX_BYTES = 16 * 1024 * 1024
@@ -47,20 +46,31 @@ def extract_docx_text(docx_bytes: bytes) -> list[str]:
         raise CorruptArchive(f"not a readable .docx archive: {exc}") from exc
     if len(xml_bytes) > DOCUMENT_XML_MAX_BYTES:
         raise CorruptArchive(f"word/document.xml inflates past {DOCUMENT_XML_MAX_BYTES} bytes")
+    # Streamed: each element leaves the tree once it ends, so memory holds
+    # the open elements only. A paragraph gets its text from every t, tab
+    # and br inside it, nested paragraphs (text boxes) included, and takes
+    # its place in the output where it opens, as a pre-order walk would.
+    paragraphs: list[str] = []
+    open_parts: list[tuple[int, list[str]]] = []  # (output slot, pieces) per open paragraph
+    ancestors: list[ET.Element] = []
     try:
-        root = ET.fromstring(xml_bytes)
+        for event, node in ET.iterparse(io.BytesIO(xml_bytes), events=("start", "end")):
+            if event == "start":
+                if node.tag == _P_TAG:
+                    open_parts.append((len(paragraphs), []))
+                    paragraphs.append("")
+                ancestors.append(node)
+                continue
+            ancestors.pop()
+            if ancestors:
+                ancestors[-1].remove(node)  # its earlier siblings are gone: O(1)
+            if node.tag == _P_TAG:
+                slot, parts = open_parts.pop()
+                paragraphs[slot] = "".join(parts).strip()
+            elif node.tag in (_T_TAG, _TAB_TAG, _BR_TAG):
+                piece = (node.text or "") if node.tag == _T_TAG else " "
+                for _, parts in open_parts:
+                    parts.append(piece)
     except ET.ParseError as exc:
         raise CorruptArchive(f"document.xml is not well-formed: {exc}") from exc
-
-    paragraphs: list[str] = []
-    for para in root.iter(_P_TAG):
-        parts: list[str] = []
-        for node in para.iter():
-            if node.tag == _T_TAG:
-                parts.append(node.text or "")
-            elif node.tag in (_TAB_TAG, _BR_TAG):
-                parts.append(" ")
-        text = "".join(parts).strip()
-        if text:
-            paragraphs.append(text)
-    return paragraphs
+    return [text for text in paragraphs if text]

@@ -256,6 +256,77 @@ def test_docx_tab_and_break_become_spaces():
     assert extract_docx_text(_docx_of(xml)) == ["Doe, J. Title"]
 
 
+_W = 'xmlns:w="http://schemas.openxmlformats.org/wordprocessingml/2006/main"'
+_RUN_PARTS = st.sampled_from(["<w:t>Doe,</w:t>", "<w:t xml:space=\"preserve\"> J. </w:t>",
+                              "<w:t/>", "<w:tab/>", "<w:br/>", "<w:t>Ü&amp;ł</w:t>"])
+
+
+def _paragraphs(depth: int) -> st.SearchStrategy[str]:
+    """A paragraph of runs; a run may hold a text box of further paragraphs."""
+    runs = st.lists(_RUN_PARTS, max_size=4).map(lambda parts: "<w:r>%s</w:r>" % "".join(parts))
+    if depth:
+        box = st.lists(_paragraphs(depth - 1), max_size=2).map(
+            lambda ps: "<w:r><w:pict><w:txbxContent>%s</w:txbxContent></w:pict></w:r>"
+                       % "".join(ps))
+        runs = runs | box
+    return st.lists(runs, max_size=3).map(lambda rs: "<w:p>%s</w:p>" % "".join(rs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_paragraphs(2) | st.just("<w:tbl><w:tr><w:tc><w:p><w:r><w:t>Cell</w:t>"
+                                          "</w:r></w:p></w:tc></w:tr></w:tbl>"), max_size=5))
+def test_streamed_docx_reads_what_the_tree_walk_reads(body):
+    """Tabs, breaks, empty runs and text boxes: an outer paragraph, which
+    holds its text box's text too, comes before the paragraphs nested in it."""
+    import docx_by_tree
+
+    xml = f"<w:document {_W}><w:body>{''.join(body)}</w:body></w:document>"
+    assert extract_docx_text(_docx_of(xml)) == docx_by_tree.paragraphs_by_tree(xml.encode())
+
+
+_PEAK_CHILD = """
+import io, sys, zipfile
+sys.path[:0] = sys.argv[3:]
+import citecheck.extraction, docx_by_tree
+data = open(sys.argv[1], "rb").read()
+if sys.argv[2] == "stream":
+    count = len(citecheck.extraction.extract_docx_text(data))
+else:
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        count = len(docx_by_tree.paragraphs_by_tree(archive.read("word/document.xml")))
+with open("/proc/self/status") as status:
+    print(count, next(line.split()[1] for line in status if line.startswith("VmHWM")))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM")
+def test_docx_near_the_cap_peaks_at_half_the_tree_walk(tmp_path):
+    """A valid document.xml just under the read cap: the child's own peak
+    (VmHWM, which a parent's pre-exec size cannot inflate as wait4's can) is
+    at most half the tree walk's."""
+    import subprocess
+    import sys
+
+    from citecheck.extraction.docx import DOCUMENT_XML_MAX_BYTES
+
+    para = "<w:p><w:r><w:t>[%06d] Doe, J. (2020). A title of some length. Venue.</w:t></w:r></w:p>"
+    head, tail = f"<w:document {_W}><w:body>", "</w:body></w:document>"
+    count = (DOCUMENT_XML_MAX_BYTES - len(head) - len(tail)) // len(para % 0)
+    path = tmp_path / "big.docx"
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+        archive.writestr("word/document.xml",
+                         head + "".join(para % i for i in range(count)) + tail)
+    tests = Path(__file__).parent
+    peaks = {}
+    for way in ("stream", "tree"):
+        out = subprocess.run([sys.executable, "-c", _PEAK_CHILD, str(path), way,
+                              str(tests.parent / "src"), str(tests)],
+                             capture_output=True, text=True, check=True).stdout.split()
+        assert int(out[0]) == count
+        peaks[way] = int(out[1])
+    assert peaks["stream"] * 2 <= peaks["tree"], peaks
+
+
 _DOCX = corpus.make_docx(["References", "[1] Doe, J. (2020). A title. Venue."] * 4)
 
 

@@ -31,10 +31,8 @@ __all__ = [
     "ExtractionResult", "LintFinding", "RawReference", "ReferenceInput",
     "RejectedReference", "extract_references", "detect_reference_section",
     "parse_bibtex", "extract_docx_text", "normalize_reference", "lint_bibliography",
-    "resolve_tex_bib_resources", "read_text_exact", "decode_exact",
+    "read_text_exact", "decode_exact",
 ]
-
-resolve_tex_bib_resources = latex_mod.resolve_tex_bib_resources
 
 # Origin format of each supported extension.
 ORIGINS = {"bib": "bibtex", "tex": "tex", "md": "markdown", "txt": "plaintext",
@@ -167,23 +165,27 @@ def _add_bib(result: ExtractionResult, path: Path, text: str, encoding: str) -> 
 
 
 def _add_tex(result: ExtractionResult, path: Path, text: str, encoding: str) -> None:
-    resources = latex_mod.resolve_tex_bib_resources(text, path.parent)
+    cleaned = latex_mod.strip_comments(text)
+    found: dict[Path, bool] = {}  # each named file, checked once
+    for name in latex_mod.named_bib_resources(cleaned):
+        resource = path.parent / name
+        if resource not in found:
+            found[resource] = resource.is_file()
+        if not found[resource]:
+            result.lint.append(LintFinding(
+                code="missing_field",
+                entry_ordinal=0,
+                message=f"bibliography resource {name!r} not found next to the manuscript",
+                severity="warning",
+            ))
+    resources = [resource for resource, is_file in found.items() if is_file]
     result.bib_resources = [str(p) for p in resources]
-    for name in latex_mod.named_bib_resources(text):
-        if (path.parent / name).is_file():
-            continue
-        result.lint.append(LintFinding(
-            code="missing_field",
-            entry_ordinal=0,
-            message=f"bibliography resource {name!r} not found next to the manuscript",
-            severity="warning",
-        ))
 
     if resources:
         for resource in resources:
             _add_bib(result, resource, *read_text_exact(resource))
         return
-    items = latex_mod.extract_bibitems(text)
+    items = latex_mod.extract_bibitems(cleaned)
     if items:
         _add_entries(result, path, text, encoding, "tex",
                      [_Item(item.span, parse_freetext_fields(item.text),
@@ -191,7 +193,7 @@ def _add_tex(result: ExtractionResult, path: Path, text: str, encoding: str) -> 
                       for item in items])
     else:
         # No bib resources and no bibitems: fall back to a plain references section.
-        _add_section(result, path, text, encoding, latex_mod.strip_comments(text))
+        _add_section(result, path, text, encoding, cleaned)
 
 
 def _add_section(result: ExtractionResult, path: Path, text: str, encoding: str,

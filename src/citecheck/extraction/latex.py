@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 _BIBLIOGRAPHY_RE = re.compile(r"\\bibliography\{([^}]*)\}")
 _ADDBIBRESOURCE_RE = re.compile(r"\\addbibresource(?:\[[^\]]*\])?\{([^}]*)\}")
@@ -33,14 +32,13 @@ def strip_comments(tex_source: str) -> str:
     return _COMMENT_RE.sub(lambda m: m[1] or " " * len(m[0]), tex_source)
 
 
-def named_bib_resources(tex_source: str) -> list[str]:
-    """Names given to \\bibliography / \\addbibresource, whether or not they exist.
+def named_bib_resources(cleaned: str) -> list[str]:
+    """Names given to \\bibliography / \\addbibresource in comment-stripped
+    source (see strip_comments), whether or not they exist.
 
     Names from ``\\bibliography{a,b}`` get ``.bib`` appended when missing.
-    Results keep first-appearance order, deduplicated; commented-out
-    commands are ignored.
+    Results keep first-appearance order, deduplicated.
     """
-    cleaned = strip_comments(tex_source)
     named: list[str] = []
     matches = sorted(
         list(_BIBLIOGRAPHY_RE.finditer(cleaned)) + list(_ADDBIBRESOURCE_RE.finditer(cleaned)),
@@ -54,13 +52,6 @@ def named_bib_resources(tex_source: str) -> list[str]:
     return list(dict.fromkeys(named))
 
 
-def resolve_tex_bib_resources(tex_source: str, base_dir: str | Path) -> list[Path]:
-    """The named .bib files that exist under `base_dir`, in naming order;
-    missing ones are simply not returned (callers lint them)."""
-    paths = dict.fromkeys(Path(base_dir) / name for name in named_bib_resources(tex_source))
-    return [path for path in paths if path.is_file()]
-
-
 @dataclass(frozen=True)
 class BibItem:
     key: str
@@ -69,9 +60,9 @@ class BibItem:
     head_length: int  # characters of the \bibitem[..]{..} head
 
 
-def extract_bibitems(tex_source: str) -> list[BibItem]:
-    """Inline \\bibitem entries, each spanning up to the next item or env end."""
-    cleaned = strip_comments(tex_source)
+def extract_bibitems(cleaned: str) -> list[BibItem]:
+    """Inline \\bibitem entries of comment-stripped source (see
+    strip_comments), each spanning up to the next item or env end."""
     matches = list(BIBITEM_RE.finditer(cleaned))
     items: list[BibItem] = []
     for i, m in enumerate(matches):

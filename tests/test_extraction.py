@@ -16,7 +16,7 @@ from citecheck.errors import (CitecheckError, CorruptArchive, MissingDocumentPar
                               UnsupportedFormat)
 from citecheck.extraction import (detect_reference_section, extract_docx_text,
                                   extract_references, lint_bibliography,
-                                  normalize_reference, resolve_tex_bib_resources)
+                                  normalize_reference)
 from citecheck.extraction.latex import extract_bibitems, strip_comments
 from citecheck.extraction.models import RawReference, ReferenceInput, RejectedReference
 from citecheck.extraction.text import (parse_freetext_fields, segment_references,
@@ -100,28 +100,31 @@ def test_segmentation_prefers_markers_then_blank_lines():
 # LaTeX resources and bibitems
 # ---------------------------------------------------------------------------
 
+def _bib_resources(folder: Path, tex: str) -> list[str]:
+    (folder / "paper.tex").write_text(tex)
+    return [Path(p).name for p in extract_references(folder / "paper.tex").bib_resources]
+
+
 def test_resolve_bibliography_command(tmp_path):
     (tmp_path / "refs.bib").write_text("@misc{a, title={T}}\n")
-    found = resolve_tex_bib_resources("\\bibliography{refs}", tmp_path)
-    assert [p.name for p in found] == ["refs.bib"]
+    assert _bib_resources(tmp_path, "\\bibliography{refs}") == ["refs.bib"]
 
 
 def test_commented_directive_ignored(tmp_path):
     (tmp_path / "old.bib").write_text("@misc{a, title={T}}\n")
-    assert resolve_tex_bib_resources("% \\bibliography{old}", tmp_path) == []
+    assert _bib_resources(tmp_path, "% \\bibliography{old}") == []
 
 
 def test_multi_name_and_addbibresource_deduplicated(tmp_path):
     for name in ("a.bib", "b.bib"):
         (tmp_path / name).write_text("@misc{x, title={T}}\n")
     tex = "\\bibliography{a,b}\\addbibresource{a.bib}"
-    found = resolve_tex_bib_resources(tex, tmp_path)
     # Hand-parse oracle for this exact string: names a, b in order, a deduped.
-    assert [p.name for p in found] == ["a.bib", "b.bib"]
+    assert _bib_resources(tmp_path, tex) == ["a.bib", "b.bib"]
 
 
 def test_missing_bib_files_not_returned(tmp_path):
-    assert resolve_tex_bib_resources("\\bibliography{ghost}", tmp_path) == []
+    assert _bib_resources(tmp_path, "\\bibliography{ghost}") == []
 
 
 def _missing_resources(result):

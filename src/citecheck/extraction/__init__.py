@@ -100,40 +100,36 @@ def extract_references(artifact_path: str | Path) -> ExtractionResult:
 
 
 class _Item(NamedTuple):
-    """One entry found in an artifact's text, its spans in characters."""
+    """An entry's character span in the text, its fields, the rest as RawReference has them."""
 
     span: tuple[int, int]
     fields: dict[str, str]
     key: str | None = None
-    key_span: tuple[int, int] | None = None
-    field_spans: tuple[tuple[str, tuple[int, int]], ...] = ()
+    field_names: tuple[str, ...] = ()
+    inner_spans: tuple[int, ...] = ()
     head_length: int = 0
     body_on_own_line: bool = False
 
 
 def _add_entries(result: ExtractionResult, path: Path, text: str, encoding: str,
                  origin: str, items: list[_Item]) -> None:
-    """File each item of `text` as an entry or a reject: every span becomes a
-    byte span into `path`'s bytes in one pass, and ordinals go on from the
+    """File each item of `text` as an entry or a reject: spans become byte
+    spans into `path`'s bytes in one pass, and ordinals go on from the
     entries and rejects already in `result`.
     """
-    spans: list[tuple[int, int]] = []
-    for item in items:
-        spans += [item.span] if item.key_span is None else [item.span, item.key_span]
-        spans += [span for _, span in item.field_spans]
-    byte_spans = iter(char_to_byte_spans(text, spans, encoding))
+    spans = char_to_byte_spans(text, [item.span for item in items], encoding)
     base = len(result.entries) + len(result.rejected)
-    for i, item in enumerate(items):
+    for i, (item, span) in enumerate(zip(items, spans)):
         start, end = item.span
-        raw = RawReference(  # arguments are evaluated in order: spans as listed above
-            source_span=next(byte_spans),
-            key_span=None if item.key_span is None else next(byte_spans),
-            field_spans=tuple((name, next(byte_spans)) for name, _ in item.field_spans),
+        raw = RawReference(
+            source_span=span,
             original_text=text[start:end],
             origin_format=origin,
             ordinal=base + i + 1,
             citation_key=item.key,
             source_path=str(path),
+            field_names=item.field_names,
+            inner_spans=item.inner_spans,
             head_length=item.head_length,
             body_on_own_line=item.body_on_own_line,
         )
@@ -159,8 +155,12 @@ def _add_bib(result: ExtractionResult, path: Path, text: str, encoding: str) -> 
         fields = {name: bibtex_mod.strip_braces(value)
                   for name, value in entry.field_map().items()}
         fields["_entry_type"] = entry.entry_type
-        items.append(_Item(entry.span, fields, entry.key, entry.key_span,
-                           tuple((f.name, f.value_span) for f in entry.fields)))
+        start, names = entry.span[0], []
+        inner = [entry.key_span[0] - start, entry.key_span[1] - start]
+        for f in entry.fields:  # a loop costs a third of what two generators do
+            names.append(f.name)
+            inner += (f.value_span[0] - start, f.value_span[1] - start)
+        items.append(_Item(entry.span, fields, entry.key, tuple(names), tuple(inner)))
     _add_entries(result, path, text, encoding, "bibtex", items)
 
 

@@ -12,6 +12,7 @@ need byte offsets convert with :func:`char_to_byte_spans`.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 
 _WS_RE = re.compile(r"\s*")
@@ -73,10 +74,7 @@ def char_to_byte_spans(text: str, spans: list[tuple[int, int]],
 
     One forward pass: each stretch between consecutive span boundaries is
     encoded once, so converting every entry of a file stays linear in it.
-    Where every character is one byte, the spans are their own byte spans.
     """
-    if encoding == "latin-1" or text.isascii():
-        return list(spans)
     offsets: dict[int, int] = {}
     char = byte = 0
     for pos in sorted({pos for span in spans for pos in span}):
@@ -209,8 +207,9 @@ def _parse_entry(text: str, m: re.Match[str], strings: dict[str, str]) -> BibEnt
         if not name:
             raise _SyntaxError(pos, f"expected field name in entry {key.group()!r}")
         value, value_span = _read_value(text, _expect(text, name.end(), "="), strings)
-        fields.append(BibField(name=name.group().lower(), value=_clean_value(value),
-                               value_span=value_span))
+        # Interned, as RawReference.field_names keeps every entry's names.
+        fields.append(BibField(name=sys.intern(name.group().lower()),
+                               value=_clean_value(value), value_span=value_span))
         pos = value_span[1]
     return BibEntry(entry_type=m.group(1).lower(), key=key.group(), key_span=key.span(),
                     span=(m.start(), pos + 1), fields=tuple(fields))

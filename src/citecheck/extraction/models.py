@@ -19,9 +19,10 @@ class RawReference:
     `source_span` is a byte range into `source_path`'s bytes (for docx, into
     the extracted paragraph text encoded as UTF-8). `original_text` must
     round-trip exactly, because the rewrite engine patches by these offsets,
-    and by the rest, so that it never parses an entry again: BibTeX's key
-    and field value byte spans (delimiters included, in entry order), and
-    the characters heading a text entry (a list marker or \\bibitem head).
+    and by character offsets into `original_text`, never parsing an entry
+    again: BibTeX's `inner_spans` are the key's start and end, then each field
+    value's, delimiters included, in `field_names` order; `head_length` is a
+    text entry's list marker or \\bibitem head.
     """
 
     source_span: tuple[int, int]
@@ -30,8 +31,8 @@ class RawReference:
     ordinal: int
     citation_key: str | None = None  # bibtex only
     source_path: str = ""
-    key_span: tuple[int, int] | None = None  # bibtex only
-    field_spans: tuple[tuple[str, tuple[int, int]], ...] = ()  # bibtex only
+    field_names: tuple[str, ...] = ()  # bibtex only
+    inner_spans: tuple[int, ...] = ()  # bibtex only
     head_length: int = 0
     body_on_own_line: bool = False  # a \bibitem's body goes on the lines after its head
 

@@ -132,9 +132,8 @@ def _field_diffs(entry: ReferenceInput, merged: MergedEntry) -> list[tuple[str, 
 def _unmoved_codec(raw: RawReference, files: dict[str, tuple[bytes, str]]) -> str | None:
     """The codec of the entry's file if its planned bytes still hold the
     extracted text at the extracted span; None if not, as a patch there
-    would land on whatever moved in. Where it holds, the spans recorded
-    inside the entry hold too: either the codec is extraction's, or the
-    entry is ASCII, whose bytes are the same in either."""
+    would land on whatever moved in. Where it holds, a character offset into
+    the extracted text lies at its encoded prefix's length past the span's start."""
     data, encoding = files.get(raw.source_path, (b"", "utf-8"))
     start, end = raw.source_span
     try:
@@ -150,22 +149,26 @@ def _plan_bibtex_patches(entry: ReferenceInput, diffs: list[tuple[str, str]],
     """Field updates for `diffs` and a rename to `new_key`, either optional,
     on the spans extraction recorded."""
     raw = entry.raw
-    if (not diffs and new_key is None) or _unmoved_codec(raw, files) is None:
+    codec = None if not diffs and new_key is None else _unmoved_codec(raw, files)
+    if codec is None:
         return []
+
+    def at(i: int) -> int:  # the file's byte offset of the i-th recorded offset
+        return raw.source_span[0] + len(raw.original_text[:raw.inner_spans[i]].encode(codec))
+
     edits: list[tuple[tuple[int, int], str, str]] = []  # (span, text, kind)
     additions: list[str] = []
     for name, value in diffs:
-        # The first field of a name is the one read, as in BibEntry.field_map.
-        span = next((span for field, span in raw.field_spans if field == name), None)
-        if span is not None:
-            edits.append((span, "{%s}" % value, "field_update"))
+        if name in raw.field_names:  # the first field of a name is the one read
+            i = 2 + 2 * raw.field_names.index(name)
+            edits.append(((at(i), at(i + 1)), "{%s}" % value, "field_update"))
         else:
             additions.append(",\n  %s = {%s}" % (name, value))
-    if additions:
-        anchor = (raw.field_spans[-1][1] if raw.field_spans else raw.key_span)[1]
+    if additions:  # after the last field's value, or the key if there is none
+        anchor = at(-1)
         edits.append(((anchor, anchor), "".join(additions), "field_update"))
     if new_key is not None:
-        edits.append((raw.key_span, new_key, "key_rename"))
+        edits.append(((at(0), at(1)), new_key, "key_rename"))
     return [Patch(target_path=raw.source_path, span=span, replacement_text=text,
                   entry_ordinal=entry.ordinal, kind=kind) for span, text, kind in edits]
 

@@ -897,9 +897,12 @@ def _same_plans_as_the_reparse(path: Path) -> None:
     raw_bytes = path.read_bytes()
     files = {str(path): (raw_bytes, decode_exact(raw_bytes)[1])}
     for entry in extraction.entries:
-        located = locate_by_parse._locate_bib_entry(entry.raw, files)
-        assert entry.raw.key_span == located.key_span
-        assert entry.raw.field_spans == tuple((f.name, f.value_span) for f in located.fields)
+        raw = entry.raw
+        located = locate_by_parse._locate_bib_entry(raw, files)
+        assert raw.field_names == tuple(f.name for f in located.fields)
+        assert [raw.source_span[0] + len(raw.original_text[:i].encode(files[str(path)][1]))
+                for i in raw.inner_spans] == [pos for span in (located.key_span, *(
+                    f.value_span for f in located.fields)) for pos in span]
         for diffs, new_key in ([], "renamed"), ([("title", "T"), ("volume", "7")], None), (
                 [("year", "1999"), ("doi", "10.1/x"), ("booktitle", "B")], "k2"):
             assert (_plan_bibtex_patches(entry, diffs, new_key, files)

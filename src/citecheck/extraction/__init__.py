@@ -157,7 +157,7 @@ def _add_bib(result: ExtractionResult, path: Path, text: str, encoding: str) -> 
         fields["_entry_type"] = entry.entry_type
         start, names = entry.span[0], []
         inner = [entry.key_span[0] - start, entry.key_span[1] - start]
-        for f in entry.fields:  # a loop costs a third of what two generators do
+        for f in entry.fields:  # a loop: under half the cost of two generator expressions
             names.append(f.name)
             inner += (f.value_span[0] - start, f.value_span[1] - start)
         items.append(_Item(entry.span, fields, entry.key, tuple(names), tuple(inner)))
